@@ -27,6 +27,8 @@ use crate::{ErGraph, PairId};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ComponentIndex {
     comp_of: Vec<u32>,
+    /// Per vertex: its position in its component's member list.
+    position: Vec<u32>,
     members: Vec<Vec<PairId>>,
 }
 
@@ -45,15 +47,17 @@ impl ComponentIndex {
         let mut relabel: HashMap<usize, u32> = HashMap::new();
         let mut members: Vec<Vec<PairId>> = Vec::new();
         let mut comp_of = Vec::with_capacity(assignments.len());
+        let mut position = Vec::with_capacity(assignments.len());
         for (v, &raw) in assignments.iter().enumerate() {
             let c = *relabel.entry(raw).or_insert_with(|| {
                 members.push(Vec::new());
                 (members.len() - 1) as u32
             });
             comp_of.push(c);
+            position.push(members[c as usize].len() as u32);
             members[c as usize].push(PairId::from_index(v));
         }
-        ComponentIndex { comp_of, members }
+        ComponentIndex { comp_of, position, members }
     }
 
     /// Number of components.
@@ -74,6 +78,14 @@ impl ComponentIndex {
     /// The component id of a vertex.
     pub fn component_of(&self, v: PairId) -> usize {
         self.comp_of[v.index()] as usize
+    }
+
+    /// The position of `v` in its component's member list:
+    /// `members(component_of(v))[position_of(v)] == v`. Per-component
+    /// scratch buffers index by it, so they are sized by the component
+    /// instead of by the whole graph.
+    pub fn position_of(&self, v: PairId) -> usize {
+        self.position[v.index()] as usize
     }
 
     /// The vertices of component `c`, sorted ascending.
@@ -133,8 +145,9 @@ mod tests {
                 assert!(head > prev, "component ids must follow smallest members");
             }
             smallest_seen = Some(head);
-            for &v in members {
+            for (i, &v) in members.iter().enumerate() {
                 assert_eq!(index.component_of(v), c);
+                assert_eq!(index.position_of(v), i);
             }
         }
     }

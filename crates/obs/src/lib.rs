@@ -71,6 +71,9 @@ pub mod names {
     pub const LOOP_DIRTY_VERTICES_TOTAL: &str = "remp_loop_dirty_vertices_total";
     /// Counter: Dijkstra sources re-run by the incremental engine.
     pub const LOOP_RECOMPUTED_SOURCES_TOTAL: &str = "remp_loop_recomputed_sources_total";
+    /// Counter: garbage collections of the probabilistic ER graph's
+    /// edge arena.
+    pub const PG_ARENA_COMPACTIONS_TOTAL: &str = "remp_pg_arena_compactions_total";
     /// Counter: crowd questions created by sessions.
     pub const QUESTIONS_ASKED_TOTAL: &str = "remp_questions_asked_total";
     /// Counter: answer sets submitted into sessions (completed

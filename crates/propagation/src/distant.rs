@@ -73,34 +73,41 @@ impl InferredSets {
 ///
 /// `dist`/`touched` are caller-provided scratch (distances all `∞` on
 /// entry, restored on exit) so a worker can sweep many sources without
-/// reallocating. Shared by [`inferred_sets_dijkstra`] and the incremental
-/// per-component recomputation in [`crate::LoopState`], so the two are
+/// reallocating; `slot` maps each vertex the search can reach to its
+/// distinct `dist` index. Shared by [`inferred_sets_dijkstra`] (global
+/// vertex ids) and the incremental per-component recomputation in
+/// [`crate::LoopState`] (positions within the component), so the two are
 /// bit-identical by construction.
 pub(crate) fn dijkstra_row(
     graph: &ProbErGraph,
     zeta: f64,
     q: PairId,
+    slot: impl Fn(PairId) -> usize,
     dist: &mut [f64],
     touched: &mut Vec<usize>,
 ) -> Vec<(PairId, f64)> {
     let mut out = Vec::new();
     let mut heap = BinaryHeap::new();
-    dist[q.index()] = 0.0;
-    touched.push(q.index());
+    dist[slot(q)] = 0.0;
+    touched.push(slot(q));
     heap.push(MinDist(0.0, q));
     while let Some(MinDist(d, v)) = heap.pop() {
-        if d > dist[v.index()] {
+        if d > dist[slot(v)] {
             continue; // stale entry
         }
         out.push((v, (-d).exp()));
         for &(w, p) in graph.edges_from(v) {
             let Some(len) = length_within(p, zeta) else { continue };
             let nd = d + len;
-            if nd <= zeta && nd < dist[w.index()] {
-                if dist[w.index()] == f64::INFINITY {
-                    touched.push(w.index());
+            if nd > zeta {
+                continue;
+            }
+            let sw = slot(w);
+            if nd < dist[sw] {
+                if dist[sw] == f64::INFINITY {
+                    touched.push(sw);
                 }
-                dist[w.index()] = nd;
+                dist[sw] = nd;
                 heap.push(MinDist(nd, w));
             }
         }
@@ -141,7 +148,7 @@ pub fn inferred_sets_dijkstra(graph: &ProbErGraph, tau: f64, par: &Parallelism) 
     let per_source = par.par_map_with(
         &sources,
         || (vec![f64::INFINITY; n], Vec::<usize>::new()),
-        |(dist, touched), &q| dijkstra_row(graph, zeta, q, dist, touched),
+        |(dist, touched), &q| dijkstra_row(graph, zeta, q, PairId::index, dist, touched),
     );
     InferredSets { per_source, tau }
 }

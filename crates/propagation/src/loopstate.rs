@@ -188,8 +188,12 @@ pub struct LoopState {
     eligible: Vec<bool>,
     /// Per component: number of eligible members.
     eligible_count: Vec<usize>,
-    /// Per component: retired at the last refresh.
+    /// Per component: no eligible member left. Flipped by
+    /// [`note_resolved`](Self::note_resolved) the moment a count drops to
+    /// zero, so no refresh rescans the counts.
     retired: Vec<bool>,
+    /// Number of `true` entries in `retired`.
+    retired_count: usize,
     /// Seeds added since the last refresh (sorted on consumption).
     pending_seeds: Vec<PairId>,
     /// Pairs whose prior changed since the last refresh.
@@ -232,7 +236,8 @@ impl LoopState {
                 eligible_count[ctx.components.component_of(PairId::from_index(i))] += 1;
             }
         }
-        let retired = eligible_count.iter().map(|&c| c == 0).collect();
+        let retired: Vec<bool> = eligible_count.iter().map(|&c| c == 0).collect();
+        let retired_count = retired.iter().filter(|&&r| r).count();
         let mut state = LoopState {
             tau,
             config,
@@ -250,6 +255,7 @@ impl LoopState {
             eligible,
             eligible_count,
             retired,
+            retired_count,
             pending_seeds: Vec::new(),
             pending_priors: Vec::new(),
             pending_components: Vec::new(),
@@ -269,7 +275,8 @@ impl LoopState {
         &self.eligible
     }
 
-    /// Per-component retirement flags as of the last refresh.
+    /// Per-component retirement flags, current as of the last
+    /// [`note_resolved`](Self::note_resolved).
     pub fn retired(&self) -> &[bool] {
         &self.retired
     }
@@ -345,6 +352,10 @@ impl LoopState {
         self.eligible[p.index()] = false;
         let c = self.comp_of[p.index()] as usize;
         self.eligible_count[c] -= 1;
+        if self.eligible_count[c] == 0 {
+            self.retired[c] = true;
+            self.retired_count += 1;
+        }
         self.pending_components.push(c);
     }
 
@@ -353,8 +364,6 @@ impl LoopState {
     /// after [`refresh_full`](Self::refresh_full)) rebuilds everything.
     pub fn refresh(&mut self, ctx: &PropagationContext<'_>, par: &Parallelism) -> RefreshOutcome {
         let rebuild = !self.caches_valid;
-        self.retired = self.eligible_count.iter().map(|&c| c == 0).collect();
-        let retired_components = self.retired.iter().filter(|&&r| r).count();
 
         // -- Stage 2a: consistency estimation over dirty labels. --------
         // Each stage runs under `time_stage`: the same single
@@ -467,7 +476,11 @@ impl LoopState {
             });
 
         // -- Stage 2b: probabilistic edges of dirty vertices. -----------
-        let ((component_dirty, dirty_vertices, changed_vertices), propagation_s) =
+        // The dirty vertices and components are sorted, deduplicated id
+        // lists built from the changed labels and priors, so after the
+        // first refresh this stage costs what the batch touched — never a
+        // pass over every retained pair or component.
+        let ((dirty_components, dirty_vertices, changed_vertices), propagation_s) =
             time_stage("propagation", || {
                 let changed_priors = {
                     let mut priors = std::mem::take(&mut self.pending_priors);
@@ -475,38 +488,24 @@ impl LoopState {
                     priors.dedup();
                     priors
                 };
-                let n = ctx.candidates.len();
-                let mut vertex_dirty = vec![false; n];
-                if rebuild {
-                    for v in ctx.candidates.ids() {
-                        if !self.retired[ctx.components.component_of(v)] {
-                            vertex_dirty[v.index()] = true;
-                        }
-                    }
+                let live = |v: &PairId| !self.retired[ctx.components.component_of(*v)];
+                let dirty_vertices: Vec<PairId> = if rebuild {
+                    ctx.candidates.ids().filter(live).collect()
                 } else {
-                    for &label in &changed_labels {
-                        for &v in &self.label_vertices[label.index()] {
-                            if !self.retired[ctx.components.component_of(v)] {
-                                vertex_dirty[v.index()] = true;
-                            }
-                        }
-                    }
+                    let mut dirty: Vec<PairId> = changed_labels
+                        .iter()
+                        .flat_map(|label| self.label_vertices[label.index()].iter().copied())
+                        .filter(live)
+                        .collect();
                     // A changed prior dirties the pairs it propagates to: the
                     // pair's ER-graph neighbours (adjacency is symmetric).
                     for &w in &changed_priors {
-                        for &(_, t) in ctx.graph.edges_from(w) {
-                            if !self.retired[ctx.components.component_of(t)] {
-                                vertex_dirty[t.index()] = true;
-                            }
-                        }
+                        dirty.extend(ctx.graph.edges_from(w).iter().map(|&(_, t)| t).filter(live));
                     }
-                }
-                let dirty_vertices: Vec<PairId> = vertex_dirty
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &d)| d)
-                    .map(|(i, _)| PairId::from_index(i))
-                    .collect();
+                    dirty.sort_unstable();
+                    dirty.dedup();
+                    dirty
+                };
                 let edge_lists: Vec<Vec<(PairId, f64)>> = par.par_map(&dirty_vertices, |&v| {
                     vertex_edges(
                         ctx.kb1,
@@ -518,55 +517,53 @@ impl LoopState {
                         v,
                     )
                 });
-                let mut component_dirty = vec![false; ctx.components.len()];
-                let mut changed_vertices = 0usize;
+                let mut dirty_components: Vec<usize> = Vec::new();
                 for (&v, list) in dirty_vertices.iter().zip(edge_lists) {
                     if self.pg.replace_edges(v, list) {
-                        changed_vertices += 1;
-                        component_dirty[ctx.components.component_of(v)] = true;
+                        dirty_components.push(ctx.components.component_of(v));
                     }
                 }
-                // Fold the replaced rows back into the CSR arena before
-                // stage 2c walks the graph: Dijkstra then reads one
-                // contiguous allocation instead of per-vertex overlays.
-                self.pg.compact();
+                let changed_vertices = dirty_components.len();
                 if rebuild {
                     // Even unchanged (empty-edge) components need their initial
                     // Dijkstra pass: every source's set contains itself.
-                    for (c, dirty) in component_dirty.iter_mut().enumerate() {
-                        *dirty = !self.retired[c];
-                    }
+                    dirty_components =
+                        (0..ctx.components.len()).filter(|&c| !self.retired[c]).collect();
+                } else {
+                    dirty_components.sort_unstable();
+                    dirty_components.dedup();
                 }
-                (component_dirty, dirty_vertices.len(), changed_vertices)
+                (dirty_components, dirty_vertices.len(), changed_vertices)
             });
 
         // -- Stage 2c: inferred sets of dirty components. ---------------
-        let ((dirty_components, recomputed_sources), inferred_s) =
-            time_stage("inferred_sets", || {
-                let dirty_components: Vec<usize> = component_dirty
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &d)| d)
-                    .map(|(c, _)| c)
-                    .collect();
-                let sources: Vec<PairId> = dirty_components
-                    .iter()
-                    .flat_map(|&c| ctx.components.members(c))
-                    .copied()
-                    .filter(|&q| self.eligible[q.index()])
-                    .collect();
-                let zeta = zeta_of(self.tau);
-                let n = ctx.candidates.len();
-                let rows: Vec<Vec<(PairId, f64)>> = par.par_map_with(
-                    &sources,
-                    || (vec![f64::INFINITY; n], Vec::<usize>::new()),
-                    |(dist, touched), &q| dijkstra_row(&self.pg, zeta, q, dist, touched),
-                );
-                for (&q, row) in sources.iter().zip(rows) {
-                    self.inferred.set_row(q, row);
-                }
-                (dirty_components, sources.len())
-            });
+        // Distances are indexed by member position within the source's
+        // component, so each worker's scratch is sized by the largest
+        // dirty component rather than by the retained pairs.
+        let (recomputed_sources, inferred_s) = time_stage("inferred_sets", || {
+            let sources: Vec<PairId> = dirty_components
+                .iter()
+                .flat_map(|&c| ctx.components.members(c))
+                .copied()
+                .filter(|&q| self.eligible[q.index()])
+                .collect();
+            let zeta = zeta_of(self.tau);
+            let width = dirty_components
+                .iter()
+                .map(|&c| ctx.components.members(c).len())
+                .max()
+                .unwrap_or(0);
+            let slot = |v: PairId| ctx.components.position_of(v);
+            let rows: Vec<Vec<(PairId, f64)>> = par.par_map_with(
+                &sources,
+                || (vec![f64::INFINITY; width], Vec::<usize>::new()),
+                |(dist, touched), &q| dijkstra_row(&self.pg, zeta, q, slot, dist, touched),
+            );
+            for (&q, row) in sources.iter().zip(rows) {
+                self.inferred.set_row(q, row);
+            }
+            sources.len()
+        });
 
         // Note: components that just retired stay in this list — the
         // caller's selection cache must still observe the retirement
@@ -591,7 +588,7 @@ impl LoopState {
             dirty_vertices,
             changed_vertices,
             dirty_components: dirty_components.len(),
-            retired_components,
+            retired_components: self.retired_count,
             recomputed_sources,
             consistency_s,
             propagation_s,
@@ -611,7 +608,6 @@ impl LoopState {
         ctx: &PropagationContext<'_>,
         par: &Parallelism,
     ) -> RefreshOutcome {
-        self.retired = self.eligible_count.iter().map(|&c| c == 0).collect();
         let (cons, consistency_s) = time_stage("consistency", || {
             ConsistencyTable::estimate(
                 ctx.kb1,
@@ -653,7 +649,7 @@ impl LoopState {
             dirty_vertices: n,
             changed_vertices: n,
             dirty_components: ctx.components.len(),
-            retired_components: self.retired.iter().filter(|&&r| r).count(),
+            retired_components: self.retired_count,
             recomputed_sources: n,
             consistency_s,
             propagation_s,
@@ -833,6 +829,7 @@ mod tests {
         let first = state.refresh(&ctx, SEQ);
         assert!(first.stats.full_rebuild);
         state.check_reference(&ctx, SEQ).expect("initial build matches reference");
+        assert_retired_recount(&state, &first);
 
         // A second loop: one more seed, one prior bumped.
         state.apply_seeds(&[nyc]);
@@ -841,6 +838,7 @@ mod tests {
         assert!(!second.stats.full_rebuild);
         assert_eq!(second.stats.new_seeds, 1);
         state.check_reference(&ctx, SEQ).expect("incremental update matches reference");
+        assert_retired_recount(&state, &second);
 
         // A third loop with no changes at all recomputes nothing.
         let third = state.refresh(&ctx, SEQ);
@@ -849,6 +847,43 @@ mod tests {
         assert_eq!(third.stats.recomputed_sources, 0);
         assert!(third.selection_dirty.is_empty());
         state.check_reference(&ctx, SEQ).expect("no-op refresh stays exact");
+        for outcome in [&first, &second, &third] {
+            assert_eq!(
+                outcome.stats.retired_components,
+                components.len() - 1,
+                "only Joan's is live"
+            );
+        }
+        assert_retired_recount(&state, &third);
+
+        // Resolve Joan's component one pair per loop: it stays live until
+        // its last eligible pair resolves, and the loop it retires in
+        // still reports it for the selection cache.
+        let joan_comp = components.component_of(joan);
+        let mut open: Vec<PairId> = components
+            .members(joan_comp)
+            .iter()
+            .copied()
+            .filter(|p| state.eligible()[p.index()])
+            .collect();
+        assert!(open.len() >= 2, "the fixture's relational component has several eligible pairs");
+        while let Some(p) = open.pop() {
+            state.note_prior_changed(p);
+            state.note_resolved(p);
+            let outcome = state.refresh(&ctx, SEQ);
+            assert_retired_recount(&state, &outcome);
+            assert_eq!(state.retired()[joan_comp], open.is_empty());
+            assert!(outcome.selection_dirty.contains(&joan_comp));
+            state.check_reference(&ctx, SEQ).expect("resolution loop stays exact");
+        }
+    }
+
+    /// The incrementally kept retirement flags and count equal a recount
+    /// from the per-component eligible counts.
+    fn assert_retired_recount(state: &LoopState, outcome: &RefreshOutcome) {
+        let recount: Vec<bool> = state.eligible_count.iter().map(|&c| c == 0).collect();
+        assert_eq!(state.retired(), recount.as_slice());
+        assert_eq!(outcome.stats.retired_components, recount.iter().filter(|&&r| r).count());
     }
 
     #[test]

@@ -10,24 +10,28 @@ use crate::{propagate_to_neighbors, ConsistencyTable, MatchingCandidate, Propaga
 /// A directed graph over candidate pairs where each edge `v → w` carries
 /// `Pr[m_w | m_v]` (paper §IV-A "probabilistic ER graph").
 ///
-/// Storage is CSR: one contiguous `(target, probability)` arena plus a
-/// per-vertex offset array, so truncated Dijkstra walks adjacent memory
-/// instead of chasing one heap allocation per vertex. The incremental
-/// engine mutates rows through a sparse overlay (`replace_edges`)
-/// which `compact` folds back into the arena — one linear rebuild per
-/// refresh, after which every read is arena-contiguous again.
+/// Storage is one contiguous `(target, probability)` arena plus a
+/// per-vertex `(start, len)` row span, so truncated Dijkstra walks
+/// adjacent memory instead of chasing one heap allocation per vertex.
+/// The incremental engine replaces rows one at a time, at a cost
+/// proportional to the row: a row that fits its old slot is written in place, a longer one is
+/// appended and its old slot turns into dead entries. The arena is
+/// compacted only once dead entries outnumber live ones, in time
+/// proportional to the arena, so a refresh never pays a pass over every
+/// vertex.
 #[derive(Clone, Debug)]
 pub struct ProbErGraph {
-    /// Row starts into `arena`; `offsets[v]..offsets[v + 1]` is `v`'s
-    /// edge list, sorted by target, deduplicated to the maximum
-    /// probability (the largest lower bound of Eq. 10).
-    offsets: Vec<u32>,
+    /// Per vertex: `(start, len)` of its row in `arena`. A row is sorted
+    /// by target and deduplicated to the maximum probability (the largest
+    /// lower bound of Eq. 10).
+    rows: Vec<(u32, u32)>,
     arena: Vec<(PairId, f64)>,
-    /// Rows replaced since the last [`compact`](Self::compact); `None`
-    /// means the arena row is current.
-    overlay: Vec<Option<Vec<(PairId, f64)>>>,
-    /// Vertices with a `Some` overlay row.
-    dirty: Vec<PairId>,
+    /// Every non-empty row written at the arena's end, as `(start, v)` in
+    /// arena order. An entry is live while `rows[v]` still starts there
+    /// and is non-empty; compaction walks this list, not the vertices.
+    slots: Vec<(u32, PairId)>,
+    /// Arena entries no row covers any more.
+    dead: usize,
 }
 
 impl ProbErGraph {
@@ -58,19 +62,16 @@ impl ProbErGraph {
         Self::from_rows(rows)
     }
 
-    /// Freezes per-vertex rows into the CSR arena.
+    /// Freezes per-vertex rows into the arena.
     fn from_rows(rows: Vec<Vec<(PairId, f64)>>) -> ProbErGraph {
-        let n = rows.len();
-        let total: usize = rows.iter().map(Vec::len).sum();
-        assert!(total <= u32::MAX as usize, "edge count overflows CSR offsets");
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut arena = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for row in &rows {
-            arena.extend_from_slice(row);
-            offsets.push(arena.len() as u32);
+        let mut pg = ProbErGraph::empty(rows.len());
+        pg.arena.reserve_exact(rows.iter().map(Vec::len).sum());
+        for (v, row) in rows.iter().enumerate() {
+            if !row.is_empty() {
+                pg.rows[v] = pg.append(PairId::from_index(v), row);
+            }
         }
-        ProbErGraph { offsets, arena, overlay: vec![None; n], dirty: Vec::new() }
+        pg
     }
 
     /// An all-empty graph over `num_vertices` vertices — the starting
@@ -78,10 +79,10 @@ impl ProbErGraph {
     /// [`replace_edges`](Self::replace_edges).
     pub(crate) fn empty(num_vertices: usize) -> ProbErGraph {
         ProbErGraph {
-            offsets: vec![0; num_vertices + 1],
+            rows: vec![(0, 0); num_vertices],
             arena: Vec::new(),
-            overlay: vec![None; num_vertices],
-            dirty: Vec::new(),
+            slots: Vec::new(),
+            dead: 0,
         }
     }
 
@@ -89,42 +90,68 @@ impl ProbErGraph {
     /// list differs from the stored one — the incremental engine's
     /// cutoff for re-running shortest paths in `v`'s component.
     ///
-    /// The row lands in the overlay; call [`compact`](Self::compact)
-    /// after a batch of replacements so subsequent traversals read the
-    /// contiguous arena.
+    /// Costs O(|row|) amortised: the row is written in place when it fits
+    /// its old slot and appended otherwise; the occasional compaction is
+    /// paid for by the dead entries that triggered it.
     pub(crate) fn replace_edges(&mut self, v: PairId, edges: Vec<(PairId, f64)>) -> bool {
         if self.edges_from(v) == edges.as_slice() {
             return false;
         }
-        if self.overlay[v.index()].replace(edges).is_none() {
-            self.dirty.push(v);
+        let (start, len) = self.rows[v.index()];
+        if edges.len() <= len as usize {
+            let begin = start as usize;
+            self.arena[begin..begin + edges.len()].copy_from_slice(&edges);
+            self.dead += len as usize - edges.len();
+            // An emptied row points at 0, a slice that stays valid
+            // whatever compaction later does to its old slot.
+            self.rows[v.index()] =
+                if edges.is_empty() { (0, 0) } else { (start, edges.len() as u32) };
+        } else {
+            self.dead += len as usize;
+            self.rows[v.index()] = self.append(v, &edges);
+        }
+        if self.dead > self.arena.len() - self.dead {
+            self.compact();
         }
         true
     }
 
-    /// Folds overlay rows back into the CSR arena — O(V + E), a no-op
-    /// when nothing changed since the last compaction.
-    pub(crate) fn compact(&mut self) {
-        if self.dirty.is_empty() {
-            return;
+    /// Writes a non-empty row for `v` at the arena's end, returning its
+    /// span.
+    fn append(&mut self, v: PairId, row: &[(PairId, f64)]) -> (u32, u32) {
+        let start = self.arena.len();
+        assert!(start + row.len() <= u32::MAX as usize, "edge count overflows row offsets");
+        self.arena.extend_from_slice(row);
+        self.slots.push((start as u32, v));
+        (start as u32, row.len() as u32)
+    }
+
+    /// Drops the dead entries: copies every live row, in arena order, into
+    /// a fresh arena — O(arena), never O(vertices).
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.arena.len() - self.dead);
+        let mut slots = Vec::new();
+        for &(start, v) in &self.slots {
+            let (row_start, len) = self.rows[v.index()];
+            if row_start != start || len == 0 {
+                continue;
+            }
+            let begin = start as usize;
+            self.rows[v.index()].0 = arena.len() as u32;
+            slots.push((arena.len() as u32, v));
+            arena.extend_from_slice(&self.arena[begin..begin + len as usize]);
         }
-        let n = self.num_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut arena = Vec::with_capacity(self.arena.len());
-        offsets.push(0u32);
-        for v in 0..n {
-            let row = match &self.overlay[v] {
-                Some(row) => row.as_slice(),
-                None => &self.arena[self.offsets[v] as usize..self.offsets[v + 1] as usize],
-            };
-            arena.extend_from_slice(row);
-            assert!(arena.len() <= u32::MAX as usize, "edge count overflows CSR offsets");
-            offsets.push(arena.len() as u32);
-        }
-        self.offsets = offsets;
         self.arena = arena;
-        for v in self.dirty.drain(..) {
-            self.overlay[v.index()] = None;
+        self.slots = slots;
+        self.dead = 0;
+        if remp_obs::enabled() {
+            remp_obs::global()
+                .counter(
+                    remp_obs::names::PG_ARENA_COMPACTIONS_TOTAL,
+                    "Garbage collections of the probabilistic ER graph's edge arena.",
+                    &[],
+                )
+                .inc();
         }
     }
 
@@ -156,23 +183,18 @@ impl ProbErGraph {
 
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows.len()
     }
 
     /// Total number of directed probabilistic edges.
     pub fn num_edges(&self) -> usize {
-        if self.dirty.is_empty() {
-            return self.arena.len();
-        }
-        (0..self.num_vertices()).map(|v| self.edges_from(PairId::from_index(v)).len()).sum()
+        self.arena.len() - self.dead
     }
 
     /// Outgoing `(target, probability)` edges of `v`.
     pub fn edges_from(&self, v: PairId) -> &[(PairId, f64)] {
-        if let Some(row) = &self.overlay[v.index()] {
-            return row;
-        }
-        &self.arena[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
+        let (start, len) = self.rows[v.index()];
+        &self.arena[start as usize..start as usize + len as usize]
     }
 
     /// `Pr[m_w | m_v]`, 0.0 when no edge exists.
@@ -269,6 +291,7 @@ pub(crate) fn vertex_edges(
 mod tests {
     use super::*;
     use crate::Consistency;
+    use proptest::prelude::*;
     use remp_ergraph::generate_candidates;
     use remp_kb::{KbBuilder, Value};
     use remp_par::Parallelism as Par;
@@ -364,6 +387,85 @@ mod tests {
         let joan = cands.id_of((EntityId(0), EntityId(0))).unwrap();
         let nyc = cands.id_of((EntityId(1), EntityId(1))).unwrap();
         assert!(pg_w.edge_prob(joan, nyc) < pg_s.edge_prob(joan, nyc));
+    }
+
+    /// Asserts `pg` reads back exactly like a fresh build over `rows`.
+    fn assert_reads_like(pg: &ProbErGraph, rows: &[Vec<(PairId, f64)>]) {
+        let fresh = ProbErGraph::from_rows(rows.to_vec());
+        assert_eq!(pg.num_vertices(), fresh.num_vertices());
+        assert_eq!(pg.num_edges(), fresh.num_edges());
+        for v in 0..rows.len() {
+            let v = PairId::from_index(v);
+            assert_eq!(pg.edges_from(v), fresh.edges_from(v), "row of {v:?}");
+        }
+    }
+
+    #[test]
+    fn compaction_waits_until_dead_entries_outnumber_live_ones() {
+        let row = |targets: &[u32]| -> Vec<(PairId, f64)> {
+            targets.iter().map(|&t| (PairId(t), 0.5 + t as f64 / 10.0)).collect()
+        };
+        let mut rows = vec![row(&[0, 1, 2]), row(&[3]), row(&[])];
+        let mut pg = ProbErGraph::from_rows(rows.clone());
+        let replace = |pg: &mut ProbErGraph, rows: &mut Vec<_>, v: usize, new: Vec<_>| {
+            rows[v] = new.clone();
+            assert!(pg.replace_edges(PairId::from_index(v), new));
+            assert_reads_like(pg, rows);
+        };
+        // Shrinks in place: one dead entry, three live.
+        replace(&mut pg, &mut rows, 0, row(&[1, 2]));
+        assert_eq!((pg.arena.len(), pg.dead), (4, 1));
+        // Grows past its (empty) slot: appended.
+        replace(&mut pg, &mut rows, 2, row(&[0, 3, 4]));
+        assert_eq!((pg.arena.len(), pg.dead), (7, 1));
+        // Empties: three dead, four live — still below the threshold.
+        replace(&mut pg, &mut rows, 0, row(&[]));
+        assert_eq!((pg.arena.len(), pg.dead), (7, 3));
+        // Grows again: six dead against five live, so the arena compacts.
+        replace(&mut pg, &mut rows, 2, row(&[0, 1, 3, 4]));
+        assert_eq!((pg.arena.len(), pg.dead), (5, 0));
+        // An unchanged row is not a replacement.
+        assert!(!pg.replace_edges(PairId(1), row(&[3])));
+        // Emptied rows stay readable after a compaction moved the arena.
+        replace(&mut pg, &mut rows, 1, row(&[]));
+        replace(&mut pg, &mut rows, 2, row(&[]));
+        assert_eq!((pg.arena.len(), pg.dead), (0, 0));
+    }
+
+    fn arb_row() -> impl Strategy<Value = Vec<(PairId, f64)>> {
+        proptest::collection::vec((0u32..8, 0.01f64..1.0), 0..6).prop_map(|mut row| {
+            row.sort_unstable_by_key(|&(t, _)| t);
+            row.dedup_by_key(|&mut (t, _)| t);
+            row.into_iter().map(|(t, p)| (PairId(t), p)).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Any sequence of row replacements — rows that grow, shrink,
+        /// empty, or are replaced several times between reads — reads
+        /// back exactly like `from_rows` over the final rows, with and
+        /// without compactions in between. After every replacement the
+        /// arena holds no more dead entries than live ones.
+        #[test]
+        fn replaced_rows_read_like_a_fresh_build(
+            initial in proptest::collection::vec(arb_row(), 8),
+            start_empty in proptest::bool::ANY,
+            ops in proptest::collection::vec((0usize..8, arb_row(), proptest::bool::ANY), 0..48),
+        ) {
+            let mut rows = if start_empty { vec![Vec::new(); 8] } else { initial };
+            let mut pg = ProbErGraph::from_rows(rows.clone());
+            for (v, row, read) in ops {
+                let changed = rows[v] != row;
+                rows[v] = row.clone();
+                prop_assert_eq!(pg.replace_edges(PairId::from_index(v), row), changed);
+                prop_assert!(pg.dead <= pg.arena.len() - pg.dead);
+                if read {
+                    assert_reads_like(&pg, &rows);
+                }
+            }
+            assert_reads_like(&pg, &rows);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! match probability.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use remp_ergraph::{ComponentIndex, PairId};
 use remp_par::Parallelism;
@@ -305,23 +305,30 @@ pub struct ScoredQuestion {
     pub score: f64,
 }
 
-/// Scores one component's eligible members under `strategy`, producing at
-/// most `cap` entries — the component's share of the global selection.
+/// Scores the eligible members of component `component` under
+/// `strategy`, producing at most `cap` entries — the component's share of
+/// the global selection.
 ///
-/// `scratch` must hold one `1.0` per retained pair (global indexing); it
-/// is restored before returning, so one buffer serves many components.
+/// Every inferred set must stay inside its source's component (true of
+/// sets computed over the graph `components` partitions). `scratch` must
+/// hold at least one `1.0` per member of the component, indexed by
+/// [`ComponentIndex::position_of`]; it is restored before returning, so
+/// one buffer sized by the largest component scored serves them all.
 /// Merging the per-component sequences with [`merge_sequences`] yields
 /// output bit-identical to [`select_batch`] over the union of members.
+#[allow(clippy::too_many_arguments)]
 pub fn component_sequence(
     strategy: BatchStrategy,
-    members: &[PairId],
+    components: &ComponentIndex,
+    component: usize,
     inferred: &InferredSets,
     priors: &[f64],
     eligible: &[bool],
     cap: usize,
     scratch: &mut [f64],
 ) -> Vec<ScoredQuestion> {
-    let cands: Vec<PairId> = members.iter().copied().filter(|&q| eligible[q.index()]).collect();
+    let cands: Vec<PairId> =
+        components.members(component).iter().copied().filter(|&q| eligible[q.index()]).collect();
     match strategy {
         BatchStrategy::Benefit => {
             let gain_of = |q: PairId, not_covered: &[f64]| -> f64 {
@@ -330,7 +337,7 @@ pub fn component_sequence(
                     .inferred(q)
                     .iter()
                     .filter(|&&(p, _)| eligible[p.index()])
-                    .map(|&(p, _)| not_covered[p.index()])
+                    .map(|&(p, _)| not_covered[components.position_of(p)])
                     .sum::<f64>()
             };
             let mut heap: BinaryHeap<Entry> = cands
@@ -353,8 +360,9 @@ pub fn component_sequence(
                 let pq = priors[top.question.index()];
                 for &(p, _) in inferred.inferred(top.question) {
                     if eligible[p.index()] {
-                        scratch[p.index()] *= 1.0 - pq;
-                        touched.push(p.index());
+                        let slot = components.position_of(p);
+                        scratch[slot] *= 1.0 - pq;
+                        touched.push(slot);
                     }
                 }
                 sequence.push(ScoredQuestion { question: top.question, score: top.gain });
@@ -463,35 +471,50 @@ pub fn merge_sequences<'a>(
 /// Per-component selection cache: sequences and reachability flags are
 /// recomputed only for components explicitly invalidated (because an
 /// answered batch touched them), everything else is reused loop to loop.
+///
+/// After the first refresh every operation costs what the invalidated
+/// components and the non-empty sequences hold: invalidation queues the
+/// component, a refresh rescores only the queue, and a selection merges
+/// only the components whose sequence is non-empty — never a pass over
+/// every component.
 #[derive(Clone, Debug)]
 pub struct ComponentSelector {
     cap: usize,
-    sequences: Vec<Vec<ScoredQuestion>>,
-    reachable: Vec<bool>,
-    valid: Vec<bool>,
+    num_components: usize,
+    /// The non-empty cached sequences, by component; every other
+    /// component's sequence is empty.
+    sequences: BTreeMap<usize, Vec<ScoredQuestion>>,
+    /// Components in which some eligible pair is propagation-reachable
+    /// from another.
+    reachable: BTreeSet<usize>,
+    /// Components invalidated since the last refresh (may repeat).
+    stale: Vec<usize>,
 }
 
 impl ComponentSelector {
     /// A selector over `num_components` components caching sequences of
     /// up to `cap` questions (the configured µ — a batch can never take
-    /// more than µ questions from one component).
+    /// more than µ questions from one component). Every component starts
+    /// stale.
     pub fn new(num_components: usize, cap: usize) -> ComponentSelector {
         ComponentSelector {
             cap,
-            sequences: vec![Vec::new(); num_components],
-            reachable: vec![false; num_components],
-            valid: vec![false; num_components],
+            num_components,
+            sequences: BTreeMap::new(),
+            reachable: BTreeSet::new(),
+            stale: (0..num_components).collect(),
         }
     }
 
     /// Marks one component's cache stale.
     pub fn invalidate(&mut self, component: usize) {
-        self.valid[component] = false;
+        self.stale.push(component);
     }
 
     /// Marks every component stale (full rebuilds, strategy changes).
     pub fn invalidate_all(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
+        self.stale.clear();
+        self.stale.extend(0..self.num_components);
     }
 
     /// Rescores every stale component (in parallel under `par`; retired
@@ -507,43 +530,55 @@ impl ComponentSelector {
         retired: &[bool],
         par: &Parallelism,
     ) {
-        let stale: Vec<usize> = (0..self.valid.len()).filter(|&c| !self.valid[c]).collect();
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.sort_unstable();
+        stale.dedup();
+        let width =
+            stale.iter().filter(|&&c| !retired[c]).map(|&c| components.members(c).len()).max();
         let results: Vec<(Vec<ScoredQuestion>, bool)> = par.par_map_with(
             &stale,
-            || vec![1.0f64; eligible.len()],
+            || vec![1.0f64; width.unwrap_or(0)],
             |scratch, &c| {
                 if retired[c] {
                     return (Vec::new(), false);
                 }
-                let members = components.members(c);
-                let reachable = members.iter().any(|&q| {
+                let reachable = components.members(c).iter().any(|&q| {
                     eligible[q.index()]
                         && inferred.inferred(q).iter().any(|&(p, _)| p != q && eligible[p.index()])
                 });
                 let sequence = component_sequence(
-                    strategy, members, inferred, priors, eligible, self.cap, scratch,
+                    strategy, components, c, inferred, priors, eligible, self.cap, scratch,
                 );
                 (sequence, reachable)
             },
         );
         for (&c, (sequence, reachable)) in stale.iter().zip(results) {
-            self.sequences[c] = sequence;
-            self.reachable[c] = reachable;
-            self.valid[c] = true;
+            if sequence.is_empty() {
+                self.sequences.remove(&c);
+            } else {
+                self.sequences.insert(c, sequence);
+            }
+            if reachable {
+                self.reachable.insert(c);
+            } else {
+                self.reachable.remove(&c);
+            }
         }
+        stale.clear();
+        self.stale = stale;
     }
 
     /// The paper's stopping rule, component-sharded: `true` while some
     /// unresolved pair is propagation-reachable from another.
     pub fn any_reachable(&self) -> bool {
-        debug_assert!(self.valid.iter().all(|&v| v), "refresh before querying");
-        self.reachable.iter().any(|&r| r)
+        debug_assert!(self.stale.is_empty(), "refresh before querying");
+        !self.reachable.is_empty()
     }
 
-    /// The next batch: the k-way merge of all cached sequences.
+    /// The next batch: the k-way merge of the non-empty cached sequences.
     pub fn select(&self, mu: usize) -> Vec<PairId> {
-        debug_assert!(self.valid.iter().all(|&v| v), "refresh before selecting");
-        merge_sequences(self.sequences.iter().map(Vec::as_slice), mu)
+        debug_assert!(self.stale.is_empty(), "refresh before selecting");
+        merge_sequences(self.sequences.values().map(Vec::as_slice), mu)
     }
 }
 
@@ -780,6 +815,34 @@ mod tests {
         })
     }
 
+    /// Refreshes `selector` (retiring components with no eligible member)
+    /// and checks its µ-batch and stopping rule against a fresh selector
+    /// with every component invalidated, and the batch against the
+    /// global [`select_batch`] over the eligible pairs.
+    fn check_against_fresh(
+        selector: &mut ComponentSelector,
+        strategy: BatchStrategy,
+        index: &ComponentIndex,
+        inf: &InferredSets,
+        priors: &[f64],
+        eligible: &[bool],
+        mu: usize,
+    ) -> Result<(), proptest::TestCaseError> {
+        let retired: Vec<bool> =
+            index.iter().map(|(_, members)| members.iter().all(|p| !eligible[p.index()])).collect();
+        selector.refresh(strategy, index, inf, priors, eligible, &retired, POOL);
+        let mut fresh = ComponentSelector::new(index.len(), 5);
+        fresh.invalidate_all();
+        fresh.refresh(strategy, index, inf, priors, eligible, &retired, SEQ);
+        let got = selector.select(mu);
+        prop_assert_eq!(&got, &fresh.select(mu));
+        prop_assert_eq!(selector.any_reachable(), fresh.any_reachable());
+        let cands: Vec<PairId> =
+            (0..eligible.len()).map(PairId::from_index).filter(|p| eligible[p.index()]).collect();
+        prop_assert_eq!(got, select_batch(strategy, &cands, inf, priors, eligible, mu, SEQ));
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Monotonicity: adding a question never lowers the benefit.
@@ -841,6 +904,49 @@ mod tests {
             let mut selector = ComponentSelector::new(index.len(), mu);
             selector.refresh(strategy, &index, &inf, &priors, &eligible, &vec![false; index.len()], POOL);
             prop_assert_eq!(selector.select(mu), global);
+        }
+
+        /// The selector's incremental bookkeeping — the queue of stale
+        /// components, the set of non-empty sequences, the reachable set —
+        /// stays exact under any interleaving of invalidations, refreshes
+        /// and selections: priors that empty a component's sequence and
+        /// later refill it, pairs that resolve until their component
+        /// retires, and invalidations of untouched components. Every
+        /// selection equals both a fresh selector and the global greedy.
+        #[test]
+        fn selector_bookkeeping_matches_fresh_selection(
+            edges in proptest::collection::vec((0u32..8, 0u32..8, 0.82f64..1.0), 0..16),
+            priors in proptest::collection::vec(0.0f64..1.0, 8),
+            ops in proptest::collection::vec((0u8..4, 0usize..8, 0.0f64..1.0), 1..40),
+            strategy_pick in 0usize..3,
+        ) {
+            let strategy =
+                [BatchStrategy::Benefit, BatchStrategy::MaxInf, BatchStrategy::MaxPr][strategy_pick];
+            let inf = sets(8, &edges, 0.8);
+            let index = components_of(8, &edges);
+            let mut priors = priors;
+            let mut eligible = vec![true; 8];
+            let mut selector = ComponentSelector::new(index.len(), 5);
+            for (kind, pair, x) in ops {
+                let c = index.component_of(PairId::from_index(pair));
+                match kind {
+                    0 => {
+                        eligible[pair] = false;
+                        selector.invalidate(c);
+                    }
+                    1 => {
+                        // A zero prior empties a component's benefit
+                        // sequence; a later non-zero one refills it.
+                        priors[pair] = if x < 0.3 { 0.0 } else { x };
+                        selector.invalidate(c);
+                    }
+                    2 => selector.invalidate(c),
+                    _ => check_against_fresh(
+                        &mut selector, strategy, &index, &inf, &priors, &eligible, 1 + pair % 5,
+                    )?,
+                }
+            }
+            check_against_fresh(&mut selector, strategy, &index, &inf, &priors, &eligible, 5)?;
         }
 
         /// Greedy achieves ≥ (1 − 1/e) of the brute-force optimum.
