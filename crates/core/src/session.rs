@@ -180,6 +180,7 @@ impl LoopStat {
             ("dirty_components".into(), Json::from(self.refresh.dirty_components)),
             ("retired_components".into(), Json::from(self.refresh.retired_components)),
             ("recomputed_sources".into(), Json::from(self.refresh.recomputed_sources)),
+            ("settled_vertices".into(), Json::from(self.refresh.settled_vertices)),
             ("consistency_s".into(), Json::from(self.refresh.consistency_s)),
             ("propagation_s".into(), Json::from(self.refresh.propagation_s)),
             ("inferred_s".into(), Json::from(self.refresh.inferred_s)),

@@ -71,6 +71,9 @@ pub mod names {
     pub const LOOP_DIRTY_VERTICES_TOTAL: &str = "remp_loop_dirty_vertices_total";
     /// Counter: Dijkstra sources re-run by the incremental engine.
     pub const LOOP_RECOMPUTED_SOURCES_TOTAL: &str = "remp_loop_recomputed_sources_total";
+    /// Counter: vertices settled by the incremental engine's Dijkstra
+    /// runs (the summed length of the recomputed inferred sets).
+    pub const LOOP_SETTLED_VERTICES_TOTAL: &str = "remp_loop_settled_vertices_total";
     /// Counter: garbage collections of the probabilistic ER graph's
     /// edge arena.
     pub const PG_ARENA_COMPACTIONS_TOTAL: &str = "remp_pg_arena_compactions_total";

@@ -7,16 +7,28 @@
 //! this is a shortest-path problem, and the threshold `Pr ≥ τ` becomes
 //! `dist ≤ ζ = −log τ`.
 //!
-//! Two implementations:
+//! Three implementations, one edge-length rule ([`length_within`]):
+//! * [`ComponentView`] — the kernel the crowd loop runs. Each
+//!   [`crate::LoopState::refresh`] flattens its dirty components into one
+//!   position-indexed CSR with every edge length computed once, then runs
+//!   truncated Dijkstra from each eligible source over that view.
+//! * [`inferred_sets_dijkstra`] — the textbook truncated Dijkstra from
+//!   every vertex of the global [`ProbErGraph`]. The from-scratch
+//!   reference the incremental loop is checked against, bit for bit
+//!   (property-tested here, and every loop under
+//!   `REMP_CHECK_INCREMENTAL=1`).
 //! * [`inferred_sets_floyd_warshall`] — the paper's Algorithm 2: threshold
 //!   Floyd–Warshall over per-vertex ordered maps. Exact for all distances
-//!   ≤ ζ because every subpath of a ≤ ζ path is itself ≤ ζ.
-//! * [`inferred_sets_dijkstra`] — truncated Dijkstra from every vertex;
-//!   identical output (property-tested), asymptotically faster on the
-//!   sparse graphs the pipeline produces. The pipeline uses this one; the
-//!   bench suite compares both (ablation).
+//!   ≤ ζ because every subpath of a ≤ ζ path is itself ≤ ζ; matches the
+//!   Dijkstra output within float tolerance (property-tested). The bench
+//!   suite compares it with Dijkstra (ablation).
+//!
+//! Both Dijkstra kernels key their min-heap on `dist.to_bits()`: every
+//! distance is a sum of non-negative lengths starting from `+0.0`, and
+//! `0.0 + (−0.0) = 0.0`, so no key is ever `−0.0` and bit order equals
+//! value order.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use remp_ergraph::PairId;
@@ -69,30 +81,28 @@ impl InferredSets {
     }
 }
 
-/// One source's truncated Dijkstra (Algorithm 2's output for one row).
+/// One source's textbook truncated Dijkstra over the global graph
+/// (Algorithm 2's output for one row): lengths recomputed per edge read,
+/// the row collected in settle order and sorted by target.
 ///
 /// `dist`/`touched` are caller-provided scratch (distances all `∞` on
-/// entry, restored on exit) so a worker can sweep many sources without
-/// reallocating; `slot` maps each vertex the search can reach to its
-/// distinct `dist` index. Shared by [`inferred_sets_dijkstra`] (global
-/// vertex ids) and the incremental per-component recomputation in
-/// [`crate::LoopState`] (positions within the component), so the two are
-/// bit-identical by construction.
-pub(crate) fn dijkstra_row(
+/// entry, restored on exit, indexed by vertex id) so a worker can sweep
+/// many sources without reallocating.
+fn dijkstra_row(
     graph: &ProbErGraph,
     zeta: f64,
     q: PairId,
-    slot: impl Fn(PairId) -> usize,
     dist: &mut [f64],
     touched: &mut Vec<usize>,
 ) -> Vec<(PairId, f64)> {
     let mut out = Vec::new();
     let mut heap = BinaryHeap::new();
-    dist[slot(q)] = 0.0;
-    touched.push(slot(q));
-    heap.push(MinDist(0.0, q));
-    while let Some(MinDist(d, v)) = heap.pop() {
-        if d > dist[slot(v)] {
+    dist[q.index()] = 0.0;
+    touched.push(q.index());
+    heap.push(Reverse((0.0f64.to_bits(), q)));
+    while let Some(Reverse((bits, v))) = heap.pop() {
+        let d = f64::from_bits(bits);
+        if d > dist[v.index()] {
             continue; // stale entry
         }
         out.push((v, (-d).exp()));
@@ -102,13 +112,12 @@ pub(crate) fn dijkstra_row(
             if nd > zeta {
                 continue;
             }
-            let sw = slot(w);
-            if nd < dist[sw] {
-                if dist[sw] == f64::INFINITY {
-                    touched.push(sw);
+            if nd < dist[w.index()] {
+                if dist[w.index()] == f64::INFINITY {
+                    touched.push(w.index());
                 }
-                dist[sw] = nd;
-                heap.push(MinDist(nd, w));
+                dist[w.index()] = nd;
+                heap.push(Reverse((nd.to_bits(), w)));
             }
         }
     }
@@ -124,10 +133,12 @@ pub(crate) fn zeta_of(tau: f64) -> f64 {
     -tau.clamp(f64::MIN_POSITIVE, 1.0).ln()
 }
 
-/// Edge length `−ln p`, or `None` when the edge alone already exceeds ζ
-/// (lengths are non-negative, so such an edge can never lie on a ≤ ζ path).
+/// Edge length `−ln p`, or `None` when the edge is absent or alone
+/// already exceeds ζ (lengths are non-negative, so such an edge can never
+/// lie on a ≤ ζ path). The one length rule of all three kernels.
 fn length_within(p: f64, zeta: f64) -> Option<f64> {
-    if p <= 0.0 {
+    // NaN fails `p <= 0.0` and `p.min(1.0)` maps it to 1: test it first.
+    if p.is_nan() || p <= 0.0 {
         return None; // Pr = 0 edges are removed (log 0), paper §VI-B
     }
     let len = -p.min(1.0).ln();
@@ -148,27 +159,160 @@ pub fn inferred_sets_dijkstra(graph: &ProbErGraph, tau: f64, par: &Parallelism) 
     let per_source = par.par_map_with(
         &sources,
         || (vec![f64::INFINITY; n], Vec::<usize>::new()),
-        |(dist, touched), &q| dijkstra_row(graph, zeta, q, PairId::index, dist, touched),
+        |(dist, touched), &q| dijkstra_row(graph, zeta, q, dist, touched),
     );
     InferredSets { per_source, tau }
 }
 
-/// Min-heap entry ordered by distance.
-#[derive(PartialEq)]
-struct MinDist(f64, PairId);
-
-impl Eq for MinDist {}
-
-impl PartialOrd for MinDist {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// A set of connected components of a [`ProbErGraph`] flattened into one
+/// CSR whose vertices are addressed by `(component slot, member
+/// position)`, built once per [`crate::LoopState::refresh`] over the
+/// dirty components.
+///
+/// Each edge's length is computed once at build time and edges no ≤ ζ
+/// path can use (`p ≤ 0`, NaN, length > ζ) are dropped. Edges never leave
+/// their component, so a target is stored as its position within the
+/// component, and a search's distances are indexed by position. Members
+/// are ascending within a component, so position order is [`PairId`]
+/// order: rows come out sorted without sorting `(PairId, f64)` tuples.
+pub(crate) struct ComponentView {
+    zeta: f64,
+    /// Per component slot: the index of its first vertex in `members`,
+    /// plus one trailing entry (the total).
+    bases: Vec<u32>,
+    /// Every component's members, concatenated in slot order.
+    members: Vec<PairId>,
+    /// Per vertex (indexed like `members`), plus one trailing entry: the
+    /// start of its row in `edges`.
+    offsets: Vec<u32>,
+    /// `(target position within the component, edge length)`.
+    edges: Vec<(u32, f64)>,
+    /// Members of the largest component: the width of a search's scratch.
+    width: usize,
 }
 
-impl Ord for MinDist {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap; ties broken by vertex for determinism.
-        other.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal).then_with(|| other.1.cmp(&self.1))
+/// Per-worker scratch of [`ComponentView::row`]: distances all `∞` and
+/// the other buffers empty between searches.
+pub(crate) struct ViewScratch {
+    dist: Vec<f64>,
+    touched: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+impl ComponentView {
+    /// Flattens `components` (each a member list sorted ascending, closed
+    /// under `graph`'s edges) in one sequential pass; `position_of(v)` is
+    /// `v`'s index in its component's member list.
+    pub(crate) fn build<'m>(
+        graph: &ProbErGraph,
+        tau: f64,
+        components: impl IntoIterator<Item = &'m [PairId]>,
+        position_of: impl Fn(PairId) -> usize,
+    ) -> ComponentView {
+        let zeta = zeta_of(tau);
+        let mut view = ComponentView {
+            zeta,
+            bases: vec![0],
+            members: Vec::new(),
+            offsets: vec![0],
+            edges: Vec::new(),
+            width: 0,
+        };
+        for members in components {
+            view.members.extend_from_slice(members);
+            assert!(view.members.len() <= u32::MAX as usize, "vertex count overflows view offsets");
+            view.bases.push(view.members.len() as u32);
+            view.width = view.width.max(members.len());
+            for &v in members {
+                for &(w, p) in graph.edges_from(v) {
+                    if let Some(len) = length_within(p, zeta) {
+                        let pos = position_of(w);
+                        debug_assert_eq!(
+                            members[pos], w,
+                            "edge {v:?} → {w:?} leaves its component"
+                        );
+                        view.edges.push((pos as u32, len));
+                    }
+                }
+                assert!(view.edges.len() <= u32::MAX as usize, "edge count overflows view offsets");
+                view.offsets.push(view.edges.len() as u32);
+            }
+        }
+        view
+    }
+
+    /// Every `(slot, position)` whose member satisfies `keep`, in view
+    /// order.
+    pub(crate) fn sources(&self, keep: impl Fn(PairId) -> bool) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (slot, span) in self.bases.windows(2).enumerate() {
+            for (pos, &v) in self.members[span[0] as usize..span[1] as usize].iter().enumerate() {
+                if keep(v) {
+                    out.push((slot as u32, pos as u32));
+                }
+            }
+        }
+        out
+    }
+
+    /// The pair at `(slot, position)`.
+    pub(crate) fn pair(&self, (slot, pos): (u32, u32)) -> PairId {
+        self.members[self.bases[slot as usize] as usize + pos as usize]
+    }
+
+    /// Fresh scratch wide enough for any search in this view.
+    pub(crate) fn scratch(&self) -> ViewScratch {
+        ViewScratch {
+            dist: vec![f64::INFINITY; self.width],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// The inferred set of the pair at `(slot, position)`, sorted by
+    /// target: every vertex within ζ, each settled once at its final
+    /// distance and reported as `exp(−dist)`.
+    pub(crate) fn row(
+        &self,
+        (slot, source): (u32, u32),
+        scratch: &mut ViewScratch,
+    ) -> Vec<(PairId, f64)> {
+        let ViewScratch { dist, touched, heap } = scratch;
+        let base = self.bases[slot as usize] as usize;
+        let zeta = self.zeta;
+        dist[source as usize] = 0.0;
+        touched.push(source);
+        heap.push(Reverse((0.0f64.to_bits(), source)));
+        while let Some(Reverse((bits, v))) = heap.pop() {
+            let d = f64::from_bits(bits);
+            if d > dist[v as usize] {
+                continue; // stale entry
+            }
+            let g = base + v as usize;
+            let row = &self.edges[self.offsets[g] as usize..self.offsets[g + 1] as usize];
+            for &(w, len) in row {
+                let nd = d + len;
+                if nd > zeta {
+                    continue;
+                }
+                let w = w as usize;
+                if nd < dist[w] {
+                    if dist[w] == f64::INFINITY {
+                        touched.push(w as u32);
+                    }
+                    dist[w] = nd;
+                    heap.push(Reverse((nd.to_bits(), w as u32)));
+                }
+            }
+        }
+        touched.sort_unstable();
+        let members = &self.members[base..];
+        let out =
+            touched.iter().map(|&p| (members[p as usize], (-dist[p as usize]).exp())).collect();
+        for t in touched.drain(..) {
+            dist[t as usize] = f64::INFINITY;
+        }
+        out
     }
 }
 
@@ -203,7 +347,7 @@ impl SortedRow {
 /// are within ζ; every subpath of a ≤ ζ shortest path is ≤ ζ (non-negative
 /// lengths), so thresholding loses nothing.
 pub fn inferred_sets_floyd_warshall(graph: &ProbErGraph, tau: f64) -> InferredSets {
-    let zeta = -tau.clamp(f64::MIN_POSITIVE, 1.0).ln();
+    let zeta = zeta_of(tau);
     let n = graph.num_vertices();
     // bt[q]: distances q → p (≤ ζ); bt_inv[q]: distances r → q.
     let mut bt: Vec<SortedRow> = vec![SortedRow::default(); n];
@@ -328,6 +472,47 @@ mod tests {
         assert_eq!(s.inferred(PairId(1)).len(), 1, "no reverse edge");
     }
 
+    /// All of `graph` as one component (positions are vertex ids), every
+    /// vertex a source: the view kernel's output in `InferredSets` order.
+    fn view_rows(graph: &ProbErGraph, tau: f64) -> Vec<Vec<(PairId, f64)>> {
+        let members: Vec<PairId> = (0..graph.num_vertices() as u32).map(PairId).collect();
+        let view = ComponentView::build(graph, tau, [members.as_slice()], PairId::index);
+        let mut scratch = view.scratch();
+        view.sources(|_| true).into_iter().map(|s| view.row(s, &mut scratch)).collect()
+    }
+
+    #[test]
+    fn nan_edge_infers_nothing() {
+        // `from_edges` rejects NaN, so plant it through row replacement —
+        // the path the loop's computed edge lists take.
+        let mut g = ProbErGraph::empty(2);
+        g.replace_edges(PairId(0), vec![(PairId(1), f64::NAN)]);
+        let only_self = [vec![(PairId(0), 1.0)], vec![(PairId(1), 1.0)]];
+        let dijkstra = inferred_sets_dijkstra(&g, 0.5, SEQ);
+        let fw = inferred_sets_floyd_warshall(&g, 0.5);
+        for q in 0..2 {
+            assert_eq!(dijkstra.inferred(PairId(q)), only_self[q as usize].as_slice());
+            assert_eq!(fw.inferred(PairId(q)), only_self[q as usize].as_slice());
+        }
+        assert_eq!(view_rows(&g, 0.5), only_self);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite probability")]
+    fn from_edges_rejects_nan() {
+        graph(2, &[(0, 1, f64::NAN)]);
+    }
+
+    #[test]
+    fn tau_one_keeps_only_certain_edges() {
+        // τ = 1 → ζ = −0.0: only p = 1 edges (length −0.0) survive, and
+        // the path 0 → 1 → 2 stays at distance +0.0.
+        let g = graph(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.999_999)]);
+        let want = vec![(PairId(0), 1.0), (PairId(1), 1.0), (PairId(2), 1.0)];
+        assert_eq!(inferred_sets_dijkstra(&g, 1.0, SEQ).inferred(PairId(0)), want.as_slice());
+        assert_eq!(view_rows(&g, 1.0)[0], want);
+    }
+
     #[test]
     fn floyd_warshall_matches_dijkstra_on_fixture() {
         let g = graph(
@@ -379,6 +564,69 @@ mod tests {
                 for (x, y) in xs.iter().zip(ys) {
                     prop_assert_eq!(x.0, y.0);
                     prop_assert!((x.1 - y.1).abs() < 1e-9);
+                }
+            }
+        }
+
+        /// The loop's kernel over a flat view of several components equals
+        /// the textbook kernel over the global graph bit for bit, for every
+        /// source, sequentially and pooled. Vertex `v` joins component
+        /// `comp[v]`, so members interleave across components and
+        /// positions differ from ids. Edge probabilities mix exact 0, τ
+        /// and 1, draws above and below τ, two fixed values that make
+        /// equal-length paths common, and uniform draws; self-loops
+        /// come from `i == j`; `tau_pick == 0` sets τ = 1 (ζ = −0.0).
+        #[test]
+        fn view_kernel_equals_textbook_kernel(
+            comp in proptest::collection::vec(0usize..4, 1..24),
+            edges in proptest::collection::vec((0usize..4, 0usize..8, 0usize..8, 0u8..8, 0.0f64..1.0), 0..60),
+            tau_pick in 0u8..4,
+            tau_draw in 0.5f64..0.99
+        ) {
+            let tau = if tau_pick == 0 { 1.0 } else { tau_draw };
+            let n = comp.len();
+            let mut members: Vec<Vec<PairId>> = vec![Vec::new(); 4];
+            let mut position = vec![0usize; n];
+            for (v, &c) in comp.iter().enumerate() {
+                position[v] = members[c].len();
+                members[c].push(PairId::from_index(v));
+            }
+            let mut list = Vec::new();
+            for &(c, i, j, pick, x) in &edges {
+                let m = &members[c];
+                if m.is_empty() {
+                    continue;
+                }
+                let p = match pick {
+                    0 => 0.0,
+                    1 => tau,
+                    2 => 1.0,
+                    3 => 0.95,
+                    4 => 0.9,
+                    5 => tau + (1.0 - tau) * x,
+                    6 => tau * x,
+                    _ => x,
+                };
+                list.push((m[i % m.len()].0, m[j % m.len()].0, p));
+            }
+            let g = graph(n, &list);
+            let bits = |row: &[(PairId, f64)]| -> Vec<(PairId, u64)> {
+                row.iter().map(|&(w, p)| (w, p.to_bits())).collect()
+            };
+            let reference = inferred_sets_dijkstra(&g, tau, SEQ);
+            let view = ComponentView::build(
+                &g,
+                tau,
+                members.iter().map(Vec::as_slice),
+                |v| position[v.index()],
+            );
+            let sources = view.sources(|_| true);
+            prop_assert_eq!(sources.len(), n);
+            for par in [SEQ, POOL] {
+                let rows = par.par_map_with(&sources, || view.scratch(), |sc, &s| view.row(s, sc));
+                for (&s, row) in sources.iter().zip(&rows) {
+                    let q = view.pair(s);
+                    prop_assert_eq!(bits(row), bits(reference.inferred(q)), "source {:?}", q);
                 }
             }
         }

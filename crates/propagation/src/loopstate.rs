@@ -29,7 +29,9 @@
 //!   all within the source's connected component (probabilistic edges are
 //!   a subset of ER adjacency, which never crosses components). A
 //!   component is dirty when any member's edge list changed; all eligible
-//!   sources in a dirty component re-run truncated Dijkstra.
+//!   sources in a dirty component re-run truncated Dijkstra, over a
+//!   compact view of the dirty components built once per refresh
+//!   (`ComponentView` in `distant.rs`).
 //!
 //! ## Retirement
 //!
@@ -47,7 +49,7 @@ use remp_obs::time_stage;
 use remp_par::Parallelism;
 
 use crate::consistency::{index_seeds, seed_observation, SeedIndex};
-use crate::distant::{dijkstra_row, zeta_of};
+use crate::distant::ComponentView;
 use crate::probgraph::vertex_edges;
 use crate::{
     estimate_consistency, inferred_sets_dijkstra, ConsistencyTable, InferredSets, ProbErGraph,
@@ -94,6 +96,9 @@ pub struct RefreshStats {
     pub retired_components: usize,
     /// Dijkstra sources re-run (eligible members of dirty components).
     pub recomputed_sources: usize,
+    /// Vertices settled by this refresh's Dijkstra runs: the summed
+    /// length of the recomputed inferred sets.
+    pub settled_vertices: usize,
     /// Wall-clock of the consistency stage.
     pub consistency_s: f64,
     /// Wall-clock of the probabilistic-graph stage.
@@ -132,6 +137,12 @@ fn record_refresh_metrics(stats: &RefreshStats) {
         &[],
     )
     .add(stats.recomputed_sources as u64);
+    reg.counter(
+        remp_obs::names::LOOP_SETTLED_VERTICES_TOTAL,
+        "Vertices settled by Dijkstra across refreshes.",
+        &[],
+    )
+    .add(stats.settled_vertices as u64);
 }
 
 /// What one refresh changed, for the caller's own caches.
@@ -537,33 +548,35 @@ impl LoopState {
             });
 
         // -- Stage 2c: inferred sets of dirty components. ---------------
-        // Distances are indexed by member position within the source's
-        // component, so each worker's scratch is sized by the largest
-        // dirty component rather than by the retained pairs.
-        let (recomputed_sources, inferred_s) = time_stage("inferred_sets", || {
-            let sources: Vec<PairId> = dirty_components
-                .iter()
-                .flat_map(|&c| ctx.components.members(c))
-                .copied()
-                .filter(|&q| self.eligible[q.index()])
-                .collect();
-            let zeta = zeta_of(self.tau);
-            let width = dirty_components
-                .iter()
-                .map(|&c| ctx.components.members(c).len())
-                .max()
-                .unwrap_or(0);
-            let slot = |v: PairId| ctx.components.position_of(v);
-            let rows: Vec<Vec<(PairId, f64)>> = par.par_map_with(
-                &sources,
-                || (vec![f64::INFINITY; width], Vec::<usize>::new()),
-                |(dist, touched), &q| dijkstra_row(&self.pg, zeta, q, slot, dist, touched),
-            );
-            for (&q, row) in sources.iter().zip(rows) {
-                self.inferred.set_row(q, row);
-            }
-            sources.len()
-        });
+        // One sequential pass flattens the dirty components into a
+        // position-indexed CSR with each edge length computed once (one
+        // buffer for the whole refresh, none per component); every
+        // eligible member then runs truncated Dijkstra over that view,
+        // with scratch sized by the largest dirty component. The textbook
+        // kernel over the global graph stays the reference
+        // (`rebuild_reference`), so `check_reference` compares two
+        // independent kernels.
+        let ((recomputed_sources, settled_vertices), inferred_s) =
+            time_stage("inferred_sets", || {
+                let view = ComponentView::build(
+                    &self.pg,
+                    self.tau,
+                    dirty_components.iter().map(|&c| ctx.components.members(c)),
+                    |v| ctx.components.position_of(v),
+                );
+                let sources = view.sources(|q| self.eligible[q.index()]);
+                let rows: Vec<Vec<(PairId, f64)>> = par.par_map_with(
+                    &sources,
+                    || view.scratch(),
+                    |scratch, &s| view.row(s, scratch),
+                );
+                let mut settled = 0;
+                for (&s, row) in sources.iter().zip(rows) {
+                    settled += row.len();
+                    self.inferred.set_row(view.pair(s), row);
+                }
+                (sources.len(), settled)
+            });
 
         // Note: components that just retired stay in this list — the
         // caller's selection cache must still observe the retirement
@@ -590,6 +603,7 @@ impl LoopState {
             dirty_components: dirty_components.len(),
             retired_components: self.retired_count,
             recomputed_sources,
+            settled_vertices,
             consistency_s,
             propagation_s,
             inferred_s,
@@ -651,6 +665,7 @@ impl LoopState {
             dirty_components: ctx.components.len(),
             retired_components: self.retired_count,
             recomputed_sources: n,
+            settled_vertices: self.inferred.total_size(),
             consistency_s,
             propagation_s,
             inferred_s,

@@ -156,13 +156,19 @@ impl ProbErGraph {
     }
 
     /// Builds a graph directly from explicit edges (tests, ablations).
-    /// Parallel edges keep the maximum probability.
+    /// Parallel edges keep the maximum probability; probabilities are
+    /// clamped to `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// If a probability is NaN or infinite.
     pub fn from_edges(
         num_vertices: usize,
         edge_list: impl IntoIterator<Item = (PairId, PairId, f64)>,
     ) -> ProbErGraph {
         let mut rows: Vec<Vec<(PairId, f64)>> = vec![Vec::new(); num_vertices];
         for (v, w, p) in edge_list {
+            assert!(p.is_finite(), "edge {v:?} → {w:?} has non-finite probability {p}");
             rows[v.index()].push((w, p.clamp(0.0, 1.0)));
         }
         for row in &mut rows {

@@ -528,10 +528,13 @@ fn print_loop_stats(stats: &[remp_core::LoopStat]) {
             tail.iter().map(|s| s.refresh.dirty_vertices).sum::<usize>() / tail.len();
         let mean_sources =
             tail.iter().map(|s| s.refresh.recomputed_sources).sum::<usize>() / tail.len();
+        let mean_settled =
+            tail.iter().map(|s| s.refresh.settled_vertices).sum::<usize>() / tail.len();
         let retired = stats.last().map(|s| s.refresh.retired_components).unwrap_or(0);
         println!(
             "  later loops     : {mean_s:.3}s avg incremental (avg {mean_vertices} dirty \
-             vertices, {mean_sources} sources; {retired} components retired at the end)"
+             vertices, {mean_sources} sources settling {mean_settled} vertices; \
+             {retired} components retired at the end)"
         );
     }
 }
