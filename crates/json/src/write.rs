@@ -89,11 +89,38 @@ fn write_f64<W: Write>(x: f64, f: &mut W) -> fmt::Result {
     }
     // `{:?}` is Rust's shortest round-trip float formatting; ensure the
     // token stays a float (e.g. 1.0 rather than 1) so types survive.
-    let text = format!("{x:?}");
-    if text.contains(['.', 'e', 'E']) {
-        f.write_str(&text)
-    } else {
-        write!(f, "{text}.0")
+    // Formatted on the stack: checkpoints write ~10⁵ priors at a time.
+    let mut buf = FloatBuf { bytes: [0; FloatBuf::CAP], len: 0 };
+    write!(buf, "{x:?}")?;
+    let text = buf.as_str();
+    f.write_str(text)?;
+    if !text.contains(['.', 'e', 'E']) {
+        f.write_str(".0")?;
+    }
+    Ok(())
+}
+
+/// A fixed stack buffer for one formatted `f64`; the longest `{:?}`
+/// output (`-2.2250738585072014e-308`) is 24 bytes.
+struct FloatBuf {
+    bytes: [u8; FloatBuf::CAP],
+    len: usize,
+}
+
+impl FloatBuf {
+    const CAP: usize = 32;
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("only whole `&str`s are copied in")
+    }
+}
+
+impl Write for FloatBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -111,4 +138,69 @@ fn write_string<W: Write>(s: &str, f: &mut W) -> fmt::Result {
         }
     }
     f.write_char('"')
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_f64;
+    use proptest::prelude::*;
+
+    /// The writer before it formatted on the stack.
+    fn heap_format(x: f64) -> String {
+        let text = format!("{x:?}");
+        if text.contains(['.', 'e', 'E']) {
+            text
+        } else {
+            format!("{text}.0")
+        }
+    }
+
+    fn stack_format(x: f64) -> String {
+        let mut out = String::new();
+        write_f64(x, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn edge_values_format_like_the_heap_path() {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0, // subnormal
+            -f64::from_bits(1),      // smallest negative subnormal
+            -2.2250738585072014e-308,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            1e21,
+            1e-7,
+            1e16,
+            1e15,
+            1.0,
+            -3.0,
+            123456789.0,
+            0.1 + 0.2,
+            1.2345678901234567e-4,
+        ];
+        for x in edges {
+            assert_eq!(stack_format(x), heap_format(x), "{x:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+        #[test]
+        fn random_finite_bit_patterns_format_like_the_heap_path(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assume!(x.is_finite());
+            prop_assert_eq!(stack_format(x), heap_format(x));
+        }
+
+        #[test]
+        fn integral_values_format_like_the_heap_path(n in any::<i64>()) {
+            let x = n as f64;
+            prop_assert_eq!(stack_format(x), heap_format(x));
+        }
+    }
 }

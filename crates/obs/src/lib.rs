@@ -95,6 +95,14 @@ pub mod names {
     pub const WAL_RECORDS_TOTAL: &str = "remp_wal_records_total";
     /// Counter: bytes appended to campaign write-ahead logs.
     pub const WAL_BYTES_TOTAL: &str = "remp_wal_bytes_total";
+    /// Counter: delta frames appended to campaign write-ahead logs.
+    pub const WAL_DELTA_FRAMES_TOTAL: &str = "remp_wal_delta_frames_total";
+    /// Counter: bytes of delta frames appended to campaign write-ahead
+    /// logs.
+    pub const WAL_DELTA_BYTES_TOTAL: &str = "remp_wal_delta_bytes_total";
+    /// Counter: campaign base state files written, by `reason`
+    /// (`genesis`, `outgrown`, `checkpoint`).
+    pub const STATE_BASE_WRITES_TOTAL: &str = "remp_state_base_writes_total";
     /// Gauge: long-poll `/next` requests currently parked server-side.
     pub const LONGPOLL_WAITERS: &str = "remp_longpoll_waiters";
     /// Counter: structured events emitted, by `level`.

@@ -26,10 +26,12 @@
 //!   leases, and submits to the session with online quality estimates
 //!   ([`remp_crowd::WorkerQualityEstimator`]).
 //! * [`registry`] — one actor thread per campaign (the session borrows
-//!   its KBs, so the actor owns both), plus durable
-//!   `{id}.campaign.json` state files and the per-campaign answer
-//!   [`wal`] (every accepted answer is fsynced before its 2xx; restart
-//!   replays the WAL over the last checkpoint).
+//!   its KBs, so the actor owns both), plus the durable state dir: a
+//!   campaign is **base + delta frames + answer tail** — an
+//!   `{id}.campaign.json` base state file and the per-campaign [`wal`]
+//!   (every accepted answer is fsynced before its 2xx, and every 128
+//!   answers a delta frame records only what they changed; restart
+//!   folds the deltas into the base and replays the answers past them).
 //! * [`router`] — the route table: method + path template → handler,
 //!   declared as data.
 //! * [`scale`] — the `/scale` routes: `rempd` as the coordinator of a
@@ -56,6 +58,7 @@
 
 pub mod client;
 pub mod clock;
+mod delta;
 pub mod engine;
 pub mod http;
 pub mod registry;

@@ -9,17 +9,32 @@
 //! processes them strictly in arrival order, which is also what makes
 //! campaign behaviour deterministic for a deterministic client.
 //!
-//! Durability is two-tier. The base is one pretty-printed JSON state
-//! file per campaign (`{id}.campaign.json`): the session checkpoint
-//! plus the crowd-side state the session does not know about (collected
-//! answers, worker records, the submission log), written at creation
-//! (genesis), at every WAL compaction, and on graceful shutdown. On top
-//! rides the per-campaign answer WAL (`{id}.wal`, [`crate::wal`]):
-//! every accepted answer is fsynced into it *before* the 2xx reply, so
-//! a `kill -9` loses nothing acknowledged. A new `rempd` process
-//! pointed at the same directory resumes every campaign by loading the
-//! checkpoint and replaying the WAL records past its `answer_seq` —
-//! mid-batch, mid-question, even mid-record (torn tails are truncated).
+//! Durability is **base + delta frames + answer tail**. The base is one
+//! pretty-printed JSON state file per campaign (`{id}.campaign.json`,
+//! format version [`STATE_VERSION`]): the session checkpoint plus the
+//! crowd-side state the session does not know about (collected answers,
+//! worker records, the submission log). On top rides the per-campaign
+//! WAL (`{id}.wal`, [`crate::wal`]):
+//!
+//! * every accepted answer is fsynced into it as an answer record
+//!   *before* the 2xx reply, so a `kill -9` loses nothing acknowledged;
+//! * every 128 answers (`WAL_COMPACT_EVERY`) the actor appends a delta
+//!   frame (the `delta` module): only the state those answers changed,
+//!   diffed against the image the base and the earlier frames fold to.
+//!
+//! The actor writes a new base, and then empties the WAL, only at
+//! creation (genesis), when the WAL has outgrown the base, and on
+//! `Checkpoint` (graceful shutdown included). Each base write fsyncs the
+//! staged file, renames it, and fsyncs the directory before the WAL is
+//! reset, so a power loss cannot leave a reset WAL behind a base that
+//! never reached the disk. All base writes and delta frames come from
+//! the actor, in order, so each frame is diffed against exactly the
+//! state on disk. A new `rempd` process pointed at the same directory
+//! resumes every campaign by loading the base, folding the delta frames
+//! past its `answer_seq`, and replaying the answer records past the
+//! last folded frame — mid-batch, mid-question, even mid-record (torn
+//! tails are truncated). A frame that does not extend the base and the
+//! frame before it fails the resume with a typed `broken_chain` error.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -37,8 +52,9 @@ use remp_json::Json;
 use remp_kb::Kb;
 
 use crate::clock::{Clock, SystemClock};
+use crate::delta::{encode_delta, recover, CampaignImage};
 use crate::engine::{CampaignEngine, CrowdPolicy};
-use crate::wal::{wal_path, Wal, WalRecord};
+use crate::wal::{wal_path, Wal, WalRecord, MAX_DELTA};
 use crate::wire::{question_json, verdict_code, ServeError, SubmittedRecord};
 
 /// The campaign's footprint on the global metrics registry: the
@@ -163,6 +179,10 @@ impl CampaignNotifier {
 struct WalObs {
     records: remp_obs::Counter,
     bytes: remp_obs::Counter,
+    delta_frames: remp_obs::Counter,
+    delta_bytes: remp_obs::Counter,
+    /// Base writes, one counter per [`BaseReason`].
+    base_writes: [remp_obs::Counter; 3],
     live_bytes: Arc<AtomicU64>,
 }
 
@@ -170,6 +190,13 @@ impl WalObs {
     fn new() -> WalObs {
         use remp_obs::names;
         let reg = remp_obs::global();
+        let base_writes = BaseReason::ALL.map(|reason| {
+            reg.counter(
+                names::STATE_BASE_WRITES_TOTAL,
+                "Campaign base state files written, by reason.",
+                &[("reason", reason.label())],
+            )
+        });
         WalObs {
             records: reg.counter(
                 names::WAL_RECORDS_TOTAL,
@@ -181,7 +208,42 @@ impl WalObs {
                 "Bytes appended to campaign write-ahead logs.",
                 &[],
             ),
+            delta_frames: reg.counter(
+                names::WAL_DELTA_FRAMES_TOTAL,
+                "Delta frames appended to campaign write-ahead logs.",
+                &[],
+            ),
+            delta_bytes: reg.counter(
+                names::WAL_DELTA_BYTES_TOTAL,
+                "Bytes of delta frames appended to campaign write-ahead logs.",
+                &[],
+            ),
+            base_writes,
             live_bytes: Arc::new(AtomicU64::new(0)),
+        }
+    }
+}
+
+/// Why the actor wrote a new base state file.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum BaseReason {
+    /// The campaign was just created.
+    Genesis,
+    /// The WAL grew past the base (or no base could be diffed against).
+    Outgrown,
+    /// A `Checkpoint` request — `checkpoint_all` and graceful shutdown.
+    Checkpoint,
+}
+
+impl BaseReason {
+    const ALL: [BaseReason; 3] =
+        [BaseReason::Genesis, BaseReason::Outgrown, BaseReason::Checkpoint];
+
+    fn label(self) -> &'static str {
+        match self {
+            BaseReason::Genesis => "genesis",
+            BaseReason::Outgrown => "outgrown",
+            BaseReason::Checkpoint => "checkpoint",
         }
     }
 }
@@ -285,17 +347,12 @@ pub struct CampaignSpec {
     pub policy: CrowdPolicy,
 }
 
-/// Saved crowd-side state restored on resume.
-struct ResumeState {
-    session: SessionCheckpoint,
-    workers: Vec<(String, WorkerRecord)>,
-    answers: Vec<(u64, String, bool)>,
-    log: Vec<SubmittedRecord>,
-    paused: bool,
-    /// Count of accepted answers folded into this checkpoint — WAL
-    /// records at or below it are already applied and skipped on
-    /// replay. Absent in pre-WAL state files, which means 0.
-    answer_seq: u64,
+/// A base state file read back for resume.
+struct Base {
+    image: CampaignImage,
+    /// The file's size — the WAL may grow to this before the actor
+    /// writes a new base.
+    bytes: u64,
 }
 
 /// Operations the HTTP layer can ask of a campaign actor.
@@ -336,7 +393,8 @@ pub enum CampaignRequest {
     Pause,
     /// Resume a paused campaign.
     Resume,
-    /// Serialize the full campaign state (state-file body).
+    /// Serialize the full campaign state (state-file body); with a
+    /// state directory, also write it as the campaign's new base.
     Checkpoint,
     /// Terminate the actor thread.
     Stop,
@@ -469,31 +527,26 @@ impl Registry {
         inner.campaigns.iter().map(|(id, h)| (id.clone(), h.name.clone())).collect()
     }
 
-    /// Creates a campaign and waits until its actor loaded the KBs and
-    /// opened the session (so creation errors surface synchronously).
+    /// Creates a campaign and waits until its actor loaded the KBs,
+    /// opened the session and, with a state directory, wrote the
+    /// genesis base (so creation errors surface synchronously).
     pub fn create(&self, spec: CampaignSpec) -> Result<String, ServeError> {
         spec.policy.validate()?;
         spec.config.validate().map_err(|e| ServeError::bad_request("bad_config", e.to_string()))?;
         let id =
             format!("c{}", NEXT_CAMPAIGN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
         self.spawn(id.clone(), spec, None)?;
-        if let Some(dir) = self.state_dir.clone() {
-            // Genesis checkpoint: a crash before the first compaction
-            // needs a base for WAL replay to land on.
-            if let Err(e) = self.checkpoint_one(&dir, &id) {
-                eprintln!("rempd: failed to write genesis checkpoint for {id}: {e}");
-            }
-        }
         Ok(id)
     }
 
     fn resume_from_file(&self, path: &Path) -> Result<(), ServeError> {
         let text = fs::read_to_string(path)
             .map_err(|e| ServeError::internal("state_file", format!("{}: {e}", path.display())))?;
-        let (id, spec, resume) = decode_state_file(&text).map_err(|mut e| {
+        let (id, spec, image) = decode_state_file(&text).map_err(|mut e| {
             e.message = format!("{}: {}", path.display(), e.message);
             e
         })?;
+        let resume = Base { image, bytes: text.len() as u64 };
         {
             let inner = self.inner.lock().expect("registry poisoned");
             if inner.campaigns.contains_key(&id) {
@@ -514,7 +567,7 @@ impl Registry {
         &self,
         id: String,
         spec: CampaignSpec,
-        resume: Option<ResumeState>,
+        resume: Option<Base>,
     ) -> Result<(), ServeError> {
         let (tx, rx) = mpsc::channel::<Call>();
         let (ready_tx, ready_rx) = mpsc::channel::<Result<(), ServeError>>();
@@ -527,7 +580,10 @@ impl Registry {
         };
         let join = std::thread::Builder::new()
             .name(format!("campaign-{id}"))
-            .spawn(move || campaign_actor(&actor_id, actor_spec, resume, shared, ready_tx, rx))
+            .spawn(move || {
+                campaign_actor(&actor_id, actor_spec, resume, shared, ready_tx, rx);
+                release_freed_memory();
+            })
             .map_err(|e| ServeError::internal("spawn", e.to_string()))?;
         match ready_rx.recv() {
             Ok(Ok(())) => {
@@ -565,25 +621,26 @@ impl Registry {
             .map_err(|_| ServeError::internal("campaign_dead", format!("campaign {id} stopped")))?
     }
 
-    /// Writes every campaign's state file; returns how many were saved.
-    /// A no-op without a state directory.
+    /// Writes every campaign's full state file as its new base (and
+    /// empties its WAL); returns how many were saved. A no-op without a
+    /// state directory.
     ///
     /// Best-effort per campaign: one failing write (full disk,
     /// permissions) does not stop the others from being saved — the
     /// error reported is the first one encountered, after every
-    /// campaign has been attempted. Each file lands atomically (temp
-    /// file + rename), so a crash mid-write can never leave a truncated
-    /// state file behind.
+    /// campaign has been attempted. Each file lands atomically (fsynced
+    /// temp file + rename + directory fsync), so a crash mid-write can
+    /// never leave a truncated state file behind.
     pub fn checkpoint_all(&self) -> Result<usize, ServeError> {
-        let Some(dir) = self.state_dir.clone() else {
+        if self.state_dir.is_none() {
             return Ok(0);
-        };
+        }
         let ids: Vec<String> = self.list().into_iter().map(|(id, _)| id).collect();
         let mut saved = 0;
         let mut first_error: Option<ServeError> = None;
         for id in ids {
-            match self.checkpoint_one(&dir, &id) {
-                Ok(()) => saved += 1,
+            match self.call(&id, CampaignRequest::Checkpoint) {
+                Ok(_) => saved += 1,
                 Err(e) => {
                     eprintln!("rempd: failed to checkpoint campaign {id}: {e}");
                     first_error.get_or_insert(e);
@@ -594,11 +651,6 @@ impl Registry {
             None => Ok(saved),
             Some(e) => Err(e),
         }
-    }
-
-    fn checkpoint_one(&self, dir: &Path, id: &str) -> Result<(), ServeError> {
-        let body = self.call(id, CampaignRequest::Checkpoint)?;
-        write_state_file(dir, id, body)
     }
 
     /// Checkpoints (when durable) and stops every campaign actor.
@@ -625,27 +677,51 @@ impl Registry {
     }
 }
 
-/// Atomically writes `{id}.campaign.json` (temp file + rename),
-/// stamping the id into the body so the file is self-describing — the
-/// actor does not know its registry id.
-fn write_state_file(dir: &Path, id: &str, mut body: Json) -> Result<(), ServeError> {
-    if let Json::Obj(fields) = &mut body {
-        fields.insert(1, ("id".into(), Json::from(id)));
-    }
+/// Atomically and durably writes `{id}.campaign.json`: the staged file
+/// is fsynced before the rename and the directory after it, so once
+/// this returns the base survives a power loss, and the WAL it folds
+/// may be reset. Returns the file's size.
+fn write_state_file(dir: &Path, id: &str, body: &Json) -> Result<u64, ServeError> {
+    use std::io::Write;
     let path = dir.join(format!("{id}.campaign.json"));
     let staging = dir.join(format!(".{id}.campaign.json.tmp"));
     let io_err = |p: &Path, e: std::io::Error| {
         ServeError::internal("state_file", format!("{}: {e}", p.display()))
     };
-    fs::write(&staging, body.to_pretty_string()).map_err(|e| io_err(&staging, e))?;
-    fs::rename(&staging, &path).map_err(|e| io_err(&path, e))
+    let text = body.to_pretty_string();
+    let mut file = fs::File::create(&staging).map_err(|e| io_err(&staging, e))?;
+    file.write_all(text.as_bytes())
+        .and_then(|()| file.sync_all())
+        .map_err(|e| io_err(&staging, e))?;
+    drop(file);
+    fs::rename(&staging, &path).map_err(|e| io_err(&path, e))?;
+    crate::wal::sync_dir(dir).map_err(|e| io_err(dir, e))?;
+    Ok(text.len() as u64)
 }
 
 // ---- the actor --------------------------------------------------------
 
-/// Accepted answers between compactions before the actor folds the WAL
-/// into a fresh checkpoint and truncates it. Keeps replay-on-restart
-/// O(128 answers) per campaign regardless of campaign length.
+/// Hands freed heap pages back to the OS once a campaign actor is done.
+/// A campaign's KBs and session are tens of MB in the actor thread's
+/// malloc arena, and glibc keeps freed arena pages resident: without
+/// this, a server that hosts campaigns one after another grows by a
+/// campaign's footprint per arena until every arena has held one.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn release_freed_memory() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers and only releases memory
+    // the allocator already holds as free.
+    unsafe { malloc_trim(0) };
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn release_freed_memory() {}
+
+/// Accepted answers between compactions. Each compaction appends one
+/// delta frame, so replay-on-restart re-applies at most this many
+/// answers per campaign regardless of campaign length.
 const WAL_COMPACT_EVERY: u64 = 128;
 
 /// Registry-owned resources every actor shares.
@@ -660,10 +736,17 @@ struct ActorDurability {
     wal: Option<Wal>,
     /// Monotone count of accepted answers — the WAL record seq.
     answer_seq: u64,
-    /// Appends since the last compaction.
+    /// Appends since the last delta frame or base.
     since_compact: u64,
     /// Bytes this actor last folded into the shared live-bytes total.
     reported_bytes: u64,
+    /// What the base plus the WAL's delta frames fold to — the state
+    /// the next delta is diffed against. `None` until a base is on disk.
+    image: Option<CampaignImage>,
+    /// `answer_seq` of the base on disk.
+    base_seq: u64,
+    /// Size of the base on disk; the WAL may grow to this.
+    base_bytes: u64,
 }
 
 /// Reconciles this actor's WAL size into the shared live-bytes gauge.
@@ -682,9 +765,53 @@ fn sync_wal_bytes(shared: &WalObs, d: &mut ActorDurability) {
     d.reported_bytes = now;
 }
 
-/// Checkpoint-then-truncate compaction, every [`WAL_COMPACT_EVERY`]
-/// accepted answers. Best-effort: a failed checkpoint write leaves the
-/// WAL growing (still fully durable), never truncates unfolded records.
+/// Writes `image` as the campaign's new base, then empties the WAL it
+/// folds, and makes `image` what the next delta is diffed against.
+/// Returns the state-file body.
+fn write_base(
+    id: &str,
+    spec: &CampaignSpec,
+    dir: &Path,
+    image: CampaignImage,
+    reason: BaseReason,
+    shared: &ActorShared,
+    d: &mut ActorDurability,
+) -> Result<Json, ServeError> {
+    let body = encode_state(id, spec, &image);
+    let bytes = write_state_file(dir, id, &body)?;
+    if let Some(wal) = d.wal.as_mut() {
+        // A failed reset leaves frames the new base already holds; the
+        // next replay skips them by seq.
+        if let Err(e) = wal.reset() {
+            eprintln!("rempd: campaign {id}: failed to empty the WAL behind a new base: {e}");
+        }
+    }
+    let wal_bytes = d.wal.as_ref().map_or(0, Wal::bytes);
+    shared.wal.base_writes[reason as usize].inc();
+    remp_obs::event(remp_obs::Level::Info, "campaign", Some(id), || {
+        (
+            "base state file written".to_owned(),
+            vec![
+                ("reason", Json::from(reason.label())),
+                ("answer_seq", Json::from(image.answer_seq)),
+                ("bytes", Json::from(bytes)),
+                ("wal_bytes", Json::from(wal_bytes)),
+            ],
+        )
+    });
+    d.base_seq = image.answer_seq;
+    d.base_bytes = bytes;
+    d.image = Some(image);
+    d.since_compact = 0;
+    sync_wal_bytes(&shared.wal, d);
+    Ok(body)
+}
+
+/// Compaction, every [`WAL_COMPACT_EVERY`] accepted answers: appends a
+/// delta frame holding what changed since the last image, or writes a
+/// new base when the WAL would outgrow the current one. Best-effort: a
+/// failed write keeps the last durable image and retries on the next
+/// answer; the answer records stay in the WAL either way.
 fn maybe_compact(
     id: &str,
     spec: &CampaignSpec,
@@ -695,29 +822,73 @@ fn maybe_compact(
     if d.since_compact < WAL_COMPACT_EVERY {
         return;
     }
-    let Some(dir) = &shared.state_dir else { return };
-    if d.wal.is_none() {
-        return;
-    }
-    match write_state_file(dir, id, encode_state(spec, engine, d.answer_seq)) {
-        Ok(()) => {
-            let wal = d.wal.as_mut().expect("checked above");
-            if let Err(e) = wal.reset() {
-                eprintln!("rempd: campaign {id}: failed to truncate compacted WAL: {e}");
+    let (Some(dir), Some(wal)) = (&shared.state_dir, d.wal.as_mut()) else { return };
+    let current = CampaignImage::capture(engine, d.answer_seq);
+    let delta = d.image.as_ref().and_then(|prev| encode_delta(prev, &current, d.base_seq));
+    match delta {
+        Some(body)
+            if body.len() <= MAX_DELTA && wal.bytes() + body.len() as u64 <= d.base_bytes =>
+        {
+            match wal.append_delta(&body) {
+                Ok(appended) => {
+                    shared.wal.delta_frames.inc();
+                    shared.wal.delta_bytes.add(appended);
+                    d.image = Some(current);
+                    d.since_compact = 0;
+                    sync_wal_bytes(&shared.wal, d);
+                }
+                Err(e) => eprintln!("rempd: campaign {id}: appending delta frame failed: {e}"),
             }
-            d.since_compact = 0;
-            sync_wal_bytes(&shared.wal, d);
         }
-        Err(e) => {
-            eprintln!("rempd: campaign {id}: compaction checkpoint failed, keeping WAL: {e}");
+        _ => {
+            if let Err(e) = write_base(id, spec, dir, current, BaseReason::Outgrown, shared, d) {
+                eprintln!("rempd: campaign {id}: writing a new base failed, keeping WAL: {e}");
+            }
         }
     }
+}
+
+/// A resumed campaign's state after folding its WAL.
+struct Recovered {
+    /// The base with every delta frame folded in.
+    image: CampaignImage,
+    /// `answer_seq` of the base on disk.
+    base_seq: u64,
+    /// Size of the base on disk.
+    base_bytes: u64,
+    /// Answer records past the last folded frame, in order.
+    tail: Vec<WalRecord>,
+}
+
+/// Opens the campaign's WAL and recovers from it: for a resumed
+/// campaign, the base with every delta frame folded in plus the answer
+/// records past them; for a fresh one, an emptied log (a stale log left
+/// under the same id by an earlier process must not be inherited).
+fn open_wal(
+    id: &str,
+    path: &Path,
+    resume: Option<Base>,
+) -> Result<(Wal, Option<Recovered>), ServeError> {
+    let wal_err = |msg: String| ServeError::internal("wal", format!("{}: {msg}", path.display()));
+    let (mut wal, replay) = Wal::open(path).map_err(|e| wal_err(e.to_string()))?;
+    if let Some(dropped) = replay.truncated_tail {
+        eprintln!("rempd: campaign {id}: truncated {dropped} torn WAL byte(s) left by a crash");
+    }
+    let Some(base) = resume else {
+        if !replay.frames.is_empty() {
+            wal.reset().map_err(|e| wal_err(format!("resetting stale WAL: {e}")))?;
+        }
+        return Ok((wal, None));
+    };
+    let base_seq = base.image.answer_seq;
+    let (image, tail) = recover(base.image, replay.frames, path)?;
+    Ok((wal, Some(Recovered { image, base_seq, base_bytes: base.bytes, tail })))
 }
 
 fn campaign_actor(
     id: &str,
     spec: CampaignSpec,
-    resume: Option<ResumeState>,
+    resume: Option<Base>,
     shared: ActorShared,
     ready: Sender<Result<(), ServeError>>,
     rx: Receiver<Call>,
@@ -733,24 +904,51 @@ fn campaign_actor(
         }
     };
     let resumed = resume.is_some();
-    let resume_answer_seq = resume.as_ref().map_or(0, |s| s.answer_seq);
-    let engine = match resume {
+    let mut durability = ActorDurability {
+        wal: None,
+        answer_seq: 0,
+        since_compact: 0,
+        reported_bytes: 0,
+        image: None,
+        base_seq: 0,
+        base_bytes: 0,
+    };
+    // Fold the WAL into the base before building the engine, and replay
+    // its answer tail before signalling ready, so resume errors surface
+    // synchronously and no request can race the replay.
+    let mut recovered = None;
+    if let Some(dir) = &shared.state_dir {
+        match open_wal(id, &wal_path(dir, id), resume) {
+            Ok((wal, r)) => {
+                durability.wal = Some(wal);
+                recovered = r;
+            }
+            Err(e) => {
+                let _ = ready.send(Err(e));
+                return;
+            }
+        }
+    }
+    let engine = match &recovered {
         None => Remp::new(spec.config.clone())
             .begin(&kb1, &kb2)
             .map_err(|e| ServeError::bad_request("bad_config", e.to_string()))
             .map(|session| CampaignEngine::new(session, spec.policy.clone())),
-        Some(state) => RempSession::resume(&kb1, &kb2, state.session)
-            .map_err(|e| ServeError::internal("bad_state", e.to_string()))
-            .and_then(|session| {
-                CampaignEngine::resume(
-                    session,
-                    spec.policy.clone(),
-                    state.workers,
-                    state.answers,
-                    state.log,
-                    state.paused,
-                )
-            }),
+        Some(r) => {
+            let state = r.image.clone();
+            RempSession::resume(&kb1, &kb2, state.session)
+                .map_err(|e| ServeError::internal("bad_state", e.to_string()))
+                .and_then(|session| {
+                    CampaignEngine::resume(
+                        session,
+                        spec.policy.clone(),
+                        state.workers,
+                        state.answers,
+                        state.log,
+                        state.paused,
+                    )
+                })
+        }
     };
     let mut engine = match engine {
         Ok(engine) => engine,
@@ -759,80 +957,48 @@ fn campaign_actor(
             return;
         }
     };
-
-    // Open and replay the WAL before signalling ready, so resume errors
-    // surface synchronously and no request can race the replay.
-    let mut durability = ActorDurability {
-        wal: None,
-        answer_seq: resume_answer_seq,
-        since_compact: 0,
-        reported_bytes: 0,
-    };
-    if let Some(dir) = &shared.state_dir {
-        let path = wal_path(dir, id);
-        match Wal::open(&path) {
-            Err(e) => {
-                let _ = ready
-                    .send(Err(ServeError::internal("wal", format!("{}: {e}", path.display()))));
+    if let Some(r) = recovered {
+        durability.answer_seq = r.image.answer_seq;
+        durability.base_seq = r.base_seq;
+        durability.base_bytes = r.base_bytes;
+        durability.image = Some(r.image);
+        let replayed = r.tail.len();
+        for record in r.tail {
+            if let Err(e) = engine.replay_answer(
+                &record.worker,
+                QuestionId(record.question),
+                record.says_match,
+                record.now_ms,
+            ) {
+                let _ = ready.send(Err(ServeError::internal(
+                    "wal",
+                    format!("campaign {id}: replaying answer seq {}: {}", record.seq, e.message),
+                )));
                 return;
             }
-            Ok((mut wal, replay)) => {
-                if let Some(dropped) = replay.truncated_tail {
-                    eprintln!(
-                        "rempd: campaign {id}: truncated {dropped} torn WAL byte(s) left by a crash"
-                    );
-                }
-                if resumed {
-                    let mut replayed = 0u64;
-                    for record in replay.records {
-                        if record.seq <= durability.answer_seq {
-                            continue; // already folded into the checkpoint
-                        }
-                        if let Err(e) = engine.replay_answer(
-                            &record.worker,
-                            QuestionId(record.question),
-                            record.says_match,
-                            record.now_ms,
-                        ) {
-                            let _ = ready.send(Err(ServeError::internal(
-                                "wal",
-                                format!(
-                                    "{}: replaying answer seq {}: {}",
-                                    path.display(),
-                                    record.seq,
-                                    e.message
-                                ),
-                            )));
-                            return;
-                        }
-                        durability.answer_seq = record.seq;
-                        durability.since_compact += 1;
-                        replayed += 1;
-                    }
-                    if replayed > 0 {
-                        remp_obs::event(remp_obs::Level::Info, "campaign", Some(id), || {
-                            (
-                                "WAL answers replayed over checkpoint".to_owned(),
-                                vec![("replayed", Json::from(replayed))],
-                            )
-                        });
-                    }
-                } else if !replay.records.is_empty() {
-                    // A fresh campaign must not inherit a stale log left
-                    // under the same id by an earlier process.
-                    if let Err(e) = wal.reset() {
-                        let _ = ready.send(Err(ServeError::internal(
-                            "wal",
-                            format!("{}: resetting stale WAL: {e}", path.display()),
-                        )));
-                        return;
-                    }
-                }
-                durability.wal = Some(wal);
-                sync_wal_bytes(&shared.wal, &mut durability);
-            }
+            durability.answer_seq = record.seq;
+            durability.since_compact += 1;
+        }
+        if replayed > 0 {
+            remp_obs::event(remp_obs::Level::Info, "campaign", Some(id), || {
+                (
+                    "WAL answers replayed over base and deltas".to_owned(),
+                    vec![("replayed", Json::from(replayed))],
+                )
+            });
+        }
+    } else if let Some(dir) = &shared.state_dir {
+        // Genesis: a crash before the first compaction needs a base for
+        // WAL replay to land on. Its directory fsync also makes the new
+        // WAL file's directory entry durable.
+        let image = CampaignImage::capture(&engine, durability.answer_seq);
+        if let Err(e) =
+            write_base(id, &spec, dir, image, BaseReason::Genesis, &shared, &mut durability)
+        {
+            eprintln!("rempd: failed to write genesis base for {id}: {e}");
         }
     }
+    sync_wal_bytes(&shared.wal, &mut durability);
 
     if ready.send(Ok(())).is_err() {
         return;
@@ -1066,16 +1232,27 @@ fn handle_request(
             });
             Ok(Json::Obj(vec![("paused".into(), Json::from(false))]))
         }
-        CampaignRequest::Checkpoint => Ok(encode_state(spec, engine, durability.answer_seq)),
+        CampaignRequest::Checkpoint => {
+            let image = CampaignImage::capture(engine, durability.answer_seq);
+            match &shared.state_dir {
+                Some(dir) => {
+                    write_base(id, spec, dir, image, BaseReason::Checkpoint, shared, durability)
+                }
+                None => Ok(encode_state(id, spec, &image)),
+            }
+        }
         CampaignRequest::Stop => unreachable!("handled by the actor loop"),
     }
 }
 
 // ---- state files ------------------------------------------------------
 
-fn encode_state(spec: &CampaignSpec, engine: &CampaignEngine<'_>, answer_seq: u64) -> Json {
+/// The state-file body for `image`, stamped with the campaign id so the
+/// file is self-describing.
+fn encode_state(id: &str, spec: &CampaignSpec, image: &CampaignImage) -> Json {
     Json::Obj(vec![
         ("version".into(), Json::UInt(STATE_VERSION)),
+        ("id".into(), Json::from(id)),
         ("name".into(), Json::from(spec.name.as_str())),
         ("source".into(), spec.source.to_json()),
         (
@@ -1087,17 +1264,17 @@ fn encode_state(spec: &CampaignSpec, engine: &CampaignEngine<'_>, answer_seq: u6
                 ("lease_ms".into(), Json::from(spec.policy.lease_ms)),
             ]),
         ),
-        ("paused".into(), Json::from(engine.paused())),
-        ("answer_seq".into(), Json::UInt(answer_seq)),
+        ("paused".into(), Json::from(image.paused)),
+        ("answer_seq".into(), Json::UInt(image.answer_seq)),
         (
             "workers".into(),
             Json::Arr(
-                engine
-                    .worker_records()
-                    .into_iter()
+                image
+                    .workers
+                    .iter()
                     .map(|(name, r)| {
                         Json::Obj(vec![
-                            ("name".into(), Json::from(name)),
+                            ("name".into(), Json::from(name.as_str())),
                             ("qualification".into(), Json::from(r.qualification)),
                             ("scored".into(), Json::from(r.scored)),
                             ("agreed".into(), Json::from(r.agreed)),
@@ -1109,22 +1286,22 @@ fn encode_state(spec: &CampaignSpec, engine: &CampaignEngine<'_>, answer_seq: u6
         (
             "answers".into(),
             Json::Arr(
-                engine
-                    .open_answers()
-                    .into_iter()
+                image
+                    .answers
+                    .iter()
                     .map(|(q, w, says)| {
-                        Json::Arr(vec![Json::from(q), Json::from(w), Json::from(says)])
+                        Json::Arr(vec![Json::from(*q), Json::from(w.as_str()), Json::from(*says)])
                     })
                     .collect(),
             ),
         ),
-        ("log".into(), Json::Arr(engine.log().iter().map(SubmittedRecord::to_json).collect())),
-        ("session".into(), engine.session_checkpoint().to_json()),
+        ("log".into(), Json::Arr(image.log.iter().map(SubmittedRecord::to_json).collect())),
+        ("session".into(), image.session.to_json()),
     ])
 }
 
 /// Decodes a state file written next to an `{id}.campaign.json` name.
-fn decode_state_file(text: &str) -> Result<(String, CampaignSpec, ResumeState), ServeError> {
+fn decode_state_file(text: &str) -> Result<(String, CampaignSpec, CampaignImage), ServeError> {
     let bad = |msg: String| ServeError::internal("state_file", msg);
     let doc = Json::parse(text).map_err(|e| bad(format!("not JSON: {e}")))?;
     let version = doc.get("version").and_then(Json::as_u64);
@@ -1221,12 +1398,13 @@ fn decode_state_file(text: &str) -> Result<(String, CampaignSpec, ResumeState), 
     )
     .map_err(|e| bad(e.to_string()))?;
     let spec = CampaignSpec { name, source, config: session.config.clone(), policy };
-    Ok((id, spec, ResumeState { session, workers, answers, log, paused, answer_seq }))
+    Ok((id, spec, CampaignImage { session, workers, answers, log, paused, answer_seq }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalFrame;
     use remp_datasets::{generate, tiny};
 
     fn tiny_spec() -> CampaignSpec {
@@ -1400,13 +1578,16 @@ mod tests {
             )
             .unwrap();
         let wal_after_answer = registry.wal_bytes();
-        registry.shutdown().unwrap();
-
-        // Roll the checkpoint back to genesis (answer_seq 0) and tack
-        // torn garbage onto the WAL — the crash-recovery worst case.
-        fs::write(&state_path, &genesis).unwrap();
+        // The crash image: genesis base plus the answer in the WAL. The
+        // graceful shutdown below folds the answer into a new base and
+        // empties the WAL, so keep the log as the crash left it.
         let wal_file = dir.join(format!("{id}.wal"));
         let mut wal_bytes = fs::read(&wal_file).unwrap();
+        registry.shutdown().unwrap();
+
+        // Put the crash image back and tack torn garbage onto the WAL —
+        // the crash-recovery worst case.
+        fs::write(&state_path, &genesis).unwrap();
         wal_bytes.extend_from_slice(&[0xDE, 0xAD, 0xBE]);
         fs::write(&wal_file, &wal_bytes).unwrap();
 
@@ -1427,5 +1608,162 @@ mod tests {
         assert_eq!(err.code, "duplicate_answer", "w0's WAL-only answer was replayed");
         registry.shutdown().unwrap();
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What [`drive_and_check_folds`] saw.
+    struct FoldRun {
+        answers: u64,
+        /// `answer_seq`s at which a compaction wrote a base instead of
+        /// appending a delta frame.
+        outgrown: Vec<u64>,
+        /// The base and the WAL frames on disk at the last compaction.
+        base: CampaignImage,
+        frames: Vec<WalFrame>,
+    }
+
+    /// Drives a durable registry and an in-process mirror engine through
+    /// the same oracle campaign on D-A ×1. After every compaction the
+    /// state dir — base plus folded delta frames — must equal a fresh
+    /// `encode_state` of the mirror at the same `answer_seq`, field for
+    /// field. With `checkpoint_at`, `checkpoint_all` runs once that many
+    /// answers are in.
+    fn drive_and_check_folds(
+        tag: &str,
+        per_question: usize,
+        checkpoint_at: Option<u64>,
+    ) -> FoldRun {
+        let dir =
+            std::env::temp_dir().join(format!("remp-serve-fold-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let d = generate(&remp_datasets::dblp_acm(1.0));
+        let policy = CrowdPolicy { per_question, ..CrowdPolicy::default() };
+        let spec = CampaignSpec {
+            name: tag.into(),
+            source: CampaignSource::Preset { preset: "D-A".into(), scale: 1.0 },
+            config: RempConfig::default(),
+            policy: policy.clone(),
+        };
+        let registry = Registry::open(Some(dir.clone())).unwrap();
+        let id = registry.create(spec.clone()).unwrap();
+        let session = Remp::new(RempConfig::default()).begin(&d.kb1, &d.kb2).unwrap();
+        let mut mirror = CampaignEngine::new(session, policy);
+        let base_path = dir.join(format!("{id}.campaign.json"));
+        let wal_file = wal_path(&dir, &id);
+        let read_base = || decode_state_file(&fs::read_to_string(&base_path).unwrap()).unwrap().2;
+        let workers: Vec<String> = (0..per_question).map(|w| format!("w{w}")).collect();
+        let mut run =
+            FoldRun { answers: 0, outgrown: Vec::new(), base: read_base(), frames: Vec::new() };
+        // Answers since the last base or delta frame.
+        let mut since = 0;
+        loop {
+            let mut answered = false;
+            for w in &workers {
+                let next = registry
+                    .call(&id, CampaignRequest::Next { worker: w.clone(), now_ms: 0 })
+                    .unwrap();
+                let Some(a) = mirror.next_for(w, 0).unwrap() else {
+                    assert_eq!(next.get("assignment"), Some(&Json::Null));
+                    continue;
+                };
+                let served =
+                    next.get("assignment").and_then(|a| a.get("id")).and_then(Json::as_str);
+                assert_eq!(served, Some(a.question.id.to_string().as_str()));
+                let truth = d.is_match(a.question.pair.0, a.question.pair.1);
+                let answer = CampaignRequest::Answer {
+                    worker: w.clone(),
+                    question: a.question.id,
+                    says_match: truth,
+                    now_ms: 0,
+                };
+                registry.call(&id, answer).unwrap();
+                mirror.answer(w, a.question.id, truth, 0).unwrap();
+                answered = true;
+                run.answers += 1;
+                since += 1;
+                let seq = run.answers;
+                if checkpoint_at == Some(seq) {
+                    assert_eq!(registry.checkpoint_all().unwrap(), 1);
+                    assert_eq!(read_base().answer_seq, seq, "checkpoint wrote a base");
+                    assert_eq!(registry.wal_bytes(), 8, "and emptied the WAL behind it");
+                    since = 0;
+                }
+                if since < WAL_COMPACT_EVERY {
+                    continue;
+                }
+                since = 0;
+                // The actor compacts after replying; a later call waits
+                // for it.
+                registry.call(&id, CampaignRequest::Workers).unwrap();
+                run.base = read_base();
+                if run.base.answer_seq == seq {
+                    run.outgrown.push(seq);
+                }
+                let (wal, replay) = Wal::open(&wal_file).unwrap();
+                drop(wal);
+                run.frames = replay.frames;
+                let (folded, tail) =
+                    recover(run.base.clone(), run.frames.clone(), &wal_file).unwrap();
+                assert!(tail.is_empty(), "the compaction at {seq} folded every answer");
+                let fresh = encode_state(&id, &spec, &CampaignImage::capture(&mirror, seq));
+                let want = decode_state_file(&fresh.to_pretty_string()).unwrap().2;
+                assert_eq!(folded.answer_seq, want.answer_seq, "at {seq}");
+                assert_eq!(folded.session, want.session, "session at {seq}");
+                assert_eq!(folded.workers, want.workers, "workers at {seq}");
+                assert_eq!(folded.answers, want.answers, "open answers at {seq}");
+                assert_eq!(folded.log, want.log, "log at {seq}");
+                assert_eq!(folded.paused, want.paused, "paused at {seq}");
+            }
+            if !answered {
+                break;
+            }
+        }
+        assert!(mirror.progress(0).unwrap().complete, "the mirror campaign drained");
+        registry.shutdown().unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        run
+    }
+
+    fn deltas(frames: &[WalFrame]) -> usize {
+        frames.iter().filter(|f| matches!(f, WalFrame::Delta(_))).count()
+    }
+
+    #[test]
+    fn folded_deltas_equal_the_full_image_at_every_compaction() {
+        let run = drive_and_check_folds("pq3", 3, None);
+        assert_eq!(run.answers, 390, "D-A x1 asks 130 questions");
+        assert!(run.outgrown.is_empty(), "three deltas stay under the base: {:?}", run.outgrown);
+        assert_eq!(deltas(&run.frames), 3, "one delta frame per 128 answers");
+
+        // Without the first delta frame the second no longer extends
+        // what the base folds to: recovery refuses the chain.
+        let mut broken = run.frames;
+        let first = broken.iter().position(|f| matches!(f, WalFrame::Delta(_))).unwrap();
+        broken.remove(first);
+        let err = recover(run.base, broken, Path::new("c0.wal")).unwrap_err();
+        assert_eq!(err.code, "broken_chain", "{err}");
+    }
+
+    #[test]
+    fn deltas_after_a_mid_campaign_checkpoint_extend_the_new_base() {
+        let run = drive_and_check_folds("ckpt", 3, Some(100));
+        assert_eq!(run.base.answer_seq, 100, "the checkpoint is the base the last deltas extend");
+        assert_eq!(deltas(&run.frames), 2, "frames at 228 and 356");
+        assert!(run.outgrown.is_empty());
+    }
+
+    #[test]
+    fn a_wal_that_outgrows_its_base_is_folded_into_a_new_base() {
+        let outgrown = || {
+            let reg = remp_obs::global();
+            let help = "Campaign base state files written, by reason.";
+            reg.counter(remp_obs::names::STATE_BASE_WRITES_TOTAL, help, &[("reason", "outgrown")])
+                .get()
+        };
+        let before = outgrown();
+        let run = drive_and_check_folds("pq15", 15, None);
+        assert_eq!(run.answers, 1950);
+        assert!(!run.outgrown.is_empty(), "1,950 answers outgrow a D-A x1 base");
+        assert!(outgrown() >= before + run.outgrown.len() as u64, "each base write is counted");
+        assert!(deltas(&run.frames) < 15, "frames before the last new base were dropped");
     }
 }

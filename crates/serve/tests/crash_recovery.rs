@@ -1,17 +1,19 @@
 //! Crash-durability tests: `rempd` is SIGKILLed mid-campaign — no
 //! graceful shutdown, no final checkpoint — and a fresh process on the
-//! same `--state-dir` must replay the answer WAL over the last
-//! checkpoint and finish the campaign **bit-identical** to an
-//! uninterrupted in-process run. A variant hand-writes a torn final
-//! WAL record (the shape a crash mid-`write` leaves behind) and proves
-//! recovery truncates it and keeps appending.
+//! same `--state-dir` must fold the WAL's delta frames into the base,
+//! replay its answer tail, and finish the campaign **bit-identical** to
+//! an uninterrupted in-process run. Variants kill after two delta
+//! frames, hand-write a torn final answer record or tear the final
+//! delta frame (the shapes a crash mid-`write` leaves behind), and
+//! rewrite the WAL in the answers-only version-1 format.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
 use remp_core::RempConfig;
-use remp_datasets::{generate, tiny};
+use remp_datasets::{generate, preset_by_name};
+use remp_ingest::framing::fnv1a64;
 use remp_json::Json;
 use remp_serve::{
     drive, drive_n, outcome_matches, reference_outcome, CrowdParams, CrowdPolicy, ServeClient,
@@ -76,13 +78,13 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn create_campaign(client: &ServeClient, per_question: usize, name: &str) -> String {
+fn create_campaign(client: &ServeClient, preset: &str, per_question: usize, name: &str) -> String {
     let created = client
         .post(
             "/campaigns",
             &Json::Obj(vec![
                 ("name".into(), Json::from(name)),
-                ("preset".into(), Json::from("TINY")),
+                ("preset".into(), Json::from(preset)),
                 ("per_question".into(), Json::from(per_question)),
             ]),
         )
@@ -90,51 +92,119 @@ fn create_campaign(client: &ServeClient, per_question: usize, name: &str) -> Str
     created.get("id").and_then(Json::as_str).expect("campaign id").to_owned()
 }
 
-/// Drives `partial` questions, SIGKILLs the daemon, optionally mangles
-/// the WAL tail, restarts, finishes the campaign with the *same* crowd
-/// RNG, and asserts the outcome bit-identical to the in-process
-/// reference. Returns nothing — every guarantee is an assertion.
-fn crash_and_recover(tag: &str, mangle_tail: bool) {
-    let d = generate(&tiny(1.0));
+/// `(offset, payload length, kind byte)` of every frame of a version-2
+/// WAL file.
+fn frames(bytes: &[u8]) -> Vec<(usize, usize, u8)> {
+    let mut out = Vec::new();
+    let mut pos = 8;
+    while pos + 12 < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        out.push((pos, len, bytes[pos + 12]));
+        pos += 12 + len;
+    }
+    out
+}
+
+const ANSWER: u8 = 1;
+const DELTA: u8 = 2;
+
+/// What to do to the WAL between the kill and the restart.
+#[derive(Clone, Copy, PartialEq)]
+enum Mangle {
+    /// Nothing: recover from the crash image as it is.
+    None,
+    /// Append a frame whose length prefix promises more bytes than were
+    /// flushed — a crash mid-append of an answer record.
+    TornAnswer,
+    /// Cut the final delta frame in half — a crash mid-compaction.
+    TornDelta,
+    /// Rewrite the log in the answers-only version-1 format.
+    VersionOne,
+}
+
+/// Drives `partial` questions of a `preset` campaign, SIGKILLs the
+/// daemon, mangles the WAL, restarts, finishes the campaign with the
+/// *same* crowd RNG, and asserts the outcome bit-identical to the
+/// in-process reference. Returns nothing — every guarantee is an
+/// assertion.
+fn crash_and_recover(
+    tag: &str,
+    preset: &str,
+    per_question: usize,
+    partial: usize,
+    min_deltas: usize,
+    mangle: Mangle,
+) {
+    let d = generate(&preset_by_name(preset, 1.0).expect("preset"));
     let truth = |a, b| d.is_match(a, b);
-    let params = CrowdParams { per_question: 3, ..CrowdParams::paper_default(41) };
+    let params = CrowdParams { per_question, ..CrowdParams::paper_default(41) };
     let state_dir = tmp_dir(tag);
 
-    // Phase 1: a real rempd process, killed -9 after four questions.
+    // Phase 1: a real rempd process, killed -9 after `partial` questions.
     let daemon = Daemon::spawn(&state_dir);
     let client = daemon.client();
-    let id = create_campaign(&client, 3, tag);
+    let id = create_campaign(&client, preset, per_question, tag);
     let mut crowd = WireCrowd::new(&params);
-    let first = drive_n(&client, &id, &mut crowd, &truth, Some(4)).expect("partial drive");
-    assert_eq!(first.len(), 4);
+    let first = drive_n(&client, &id, &mut crowd, &truth, Some(partial)).expect("partial drive");
+    assert_eq!(first.len(), partial);
+    // The actor compacts after replying to an answer; a status request
+    // queues behind that, so every compaction due is on disk.
+    client.get(&format!("/campaigns/{id}")).expect("status");
     daemon.kill();
 
     let wal_path = state_dir.join(format!("{id}.wal"));
-    let wal_before = std::fs::metadata(&wal_path).expect("WAL exists after kill -9").len();
-    assert!(wal_before > 0, "accepted answers must be in the WAL before the 2xx");
+    let mut wal = std::fs::read(&wal_path).expect("WAL exists after kill -9");
+    let wal_before = wal.len();
+    assert!(wal_before > 8, "accepted answers must be in the WAL before the 2xx");
+    let on_disk = frames(&wal);
+    let deltas = on_disk.iter().filter(|f| f.2 == DELTA).count();
+    assert!(deltas >= min_deltas, "{deltas} delta frame(s) before the kill, want {min_deltas}");
 
-    if mangle_tail {
-        // A crash mid-append leaves a frame whose length prefix promises
-        // more bytes than were flushed. Recovery must truncate exactly
-        // this tail and keep every complete frame before it.
-        let mut wal = std::fs::OpenOptions::new().append(true).open(&wal_path).expect("open WAL");
-        wal.write_all(&200u32.to_le_bytes()).expect("torn length prefix");
-        wal.write_all(&[0xAB; 11]).expect("torn partial payload");
-        wal.sync_all().expect("sync torn tail");
+    match mangle {
+        Mangle::None => {}
+        Mangle::TornAnswer => {
+            wal.extend_from_slice(&200u32.to_le_bytes());
+            wal.extend_from_slice(&[0xAB; 11]);
+        }
+        Mangle::TornDelta => {
+            let &(at, len, kind) = on_disk.last().expect("frames");
+            assert_eq!(kind, DELTA, "the campaign stopped right after a compaction");
+            wal.truncate(at + 12 + len / 2);
+        }
+        Mangle::VersionOne => {
+            let mut v1 = b"RWAL".to_vec();
+            v1.extend_from_slice(&1u32.to_le_bytes());
+            for &(at, len, kind) in &on_disk {
+                assert_eq!(kind, ANSWER, "version 1 held answer records only");
+                let payload = &wal[at + 13..at + 12 + len];
+                v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                v1.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+                v1.extend_from_slice(payload);
+            }
+            wal = v1;
+        }
     }
+    std::fs::write(&wal_path, &wal).expect("rewrite WAL");
 
-    // Phase 2: a fresh process on the same state dir replays the WAL.
+    // Phase 2: a fresh process on the same state dir recovers the WAL.
     let daemon = Daemon::spawn(&state_dir);
     let client = daemon.client();
     let status = client.get(&format!("/campaigns/{id}")).expect("recovered campaign status");
     assert_eq!(
         status.get("questions_asked").and_then(Json::as_usize),
-        Some(4),
-        "WAL replay must restore every answered question"
+        Some(partial),
+        "recovery must restore every answered question"
     );
-    if mangle_tail {
-        let replayed = std::fs::metadata(&wal_path).expect("WAL after recovery").len();
-        assert!(replayed <= wal_before, "recovery must truncate the torn tail, not keep it");
+    let recovered = std::fs::read(&wal_path).expect("WAL after recovery");
+    match mangle {
+        Mangle::TornAnswer | Mangle::TornDelta => assert!(
+            recovered.len() < wal.len(),
+            "recovery must truncate the torn tail, not keep it"
+        ),
+        Mangle::VersionOne => {
+            assert_eq!(recovered[4..8], 2u32.to_le_bytes(), "the log was rewritten as version 2")
+        }
+        Mangle::None => {}
     }
 
     let rest = drive(&client, &id, &mut crowd, &truth).expect("drive to completion");
@@ -142,7 +212,7 @@ fn crash_and_recover(tag: &str, mangle_tail: bool) {
     let wire_outcome = client.get(&format!("/campaigns/{id}/outcome")).expect("outcome");
     daemon.kill();
 
-    let policy = CrowdPolicy { per_question: 3, ..CrowdPolicy::default() };
+    let policy = CrowdPolicy { per_question, ..CrowdPolicy::default() };
     let (reference, log) =
         reference_outcome(&d.kb1, &d.kb2, &RempConfig::default(), &policy, &params, &truth)
             .expect("reference run");
@@ -154,10 +224,29 @@ fn crash_and_recover(tag: &str, mangle_tail: bool) {
 
 #[test]
 fn kill_dash_nine_mid_campaign_recovers_bit_identical() {
-    crash_and_recover("kill9", false);
+    crash_and_recover("kill9", "TINY", 3, 4, 0, Mangle::None);
 }
 
 #[test]
 fn torn_final_wal_record_is_truncated_and_the_campaign_still_recovers() {
-    crash_and_recover("torn", true);
+    crash_and_recover("torn", "TINY", 3, 4, 0, Mangle::TornAnswer);
+}
+
+#[test]
+fn kill_dash_nine_after_two_delta_frames_recovers_bit_identical() {
+    // 90 questions × 3 answers: delta frames at 128 and 256, then 14
+    // answers of tail.
+    crash_and_recover("kill9-deltas", "D-A", 3, 90, 2, Mangle::None);
+}
+
+#[test]
+fn torn_final_delta_frame_is_truncated_and_the_campaign_still_recovers() {
+    // 64 questions × 4 answers end on the compaction at 256: tearing
+    // that frame leaves the frame at 128 plus answers 129–256.
+    crash_and_recover("torn-delta", "D-A", 4, 64, 2, Mangle::TornDelta);
+}
+
+#[test]
+fn version_one_wal_is_upgraded_and_the_campaign_still_recovers() {
+    crash_and_recover("wal-v1", "TINY", 3, 4, 0, Mangle::VersionOne);
 }
