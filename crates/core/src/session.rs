@@ -703,6 +703,18 @@ impl<'a> RempSession<'a> {
     /// May be called at any point — also before the loop converges, in
     /// which case still-open questions simply stay unresolved.
     pub fn finish(mut self) -> RempOutcome {
+        let resolution = std::mem::take(&mut self.resolution);
+        self.outcome_from(resolution)
+    }
+
+    /// The outcome [`finish`](Self::finish) would return now, without
+    /// consuming the session: only the resolutions are copied, so a
+    /// server can report a mid-flight campaign without cloning it.
+    pub fn outcome(&self) -> RempOutcome {
+        self.outcome_from(self.resolution.clone())
+    }
+
+    fn outcome_from(&self, mut resolution: Vec<Resolution>) -> RempOutcome {
         if self.config.classify_isolated {
             let predicted = classify_isolated(
                 self.kb1,
@@ -711,25 +723,25 @@ impl<'a> RempSession<'a> {
                 &self.prep.graph,
                 &self.prep.sim_vectors,
                 &self.prep.alignment,
-                &self.resolution,
+                &resolution,
                 &self.config,
             );
             for p in predicted {
-                if self.resolution[p.index()] == Resolution::Unresolved {
-                    self.resolution[p.index()] = Resolution::Match(MatchSource::Classifier);
+                if resolution[p.index()] == Resolution::Unresolved {
+                    resolution[p.index()] = Resolution::Match(MatchSource::Classifier);
                 }
             }
         }
 
         let n = self.prep.candidates.len();
         let matches: Vec<(EntityId, EntityId)> = (0..n)
-            .filter(|&i| matches!(self.resolution[i], Resolution::Match(_)))
+            .filter(|&i| matches!(resolution[i], Resolution::Match(_)))
             .map(|i| self.prep.candidates.pair(PairId::from_index(i)))
             .collect();
 
         RempOutcome {
             matches,
-            resolutions: self.resolution,
+            resolutions: resolution,
             questions_asked: self.questions_asked,
             loops: self.loops,
             candidate_count: self.prep.candidate_count,
@@ -1141,6 +1153,27 @@ mod tests {
         let outcome = session.finish();
         assert_eq!(outcome.questions_asked, questions);
         assert!(!outcome.matches.is_empty());
+    }
+
+    #[test]
+    fn outcome_by_reference_equals_finish_at_every_loop() {
+        let d = generate(&iimb(0.2));
+        let remp = Remp::default();
+        let mut session = remp.begin(&d.kb1, &d.kb2).unwrap();
+        assert!(session.config().classify_isolated, "the classifier path must be covered");
+        assert_eq!(session.outcome(), session.clone().finish(), "before the first batch");
+        while let Some(batch) = session.next_batch().unwrap() {
+            let (first, rest) = batch.questions.split_first().unwrap();
+            session
+                .submit(first.id, oracle_labels(d.is_match(first.pair.0, first.pair.1)))
+                .unwrap();
+            assert_eq!(session.outcome(), session.clone().finish(), "mid-batch");
+            for q in rest {
+                session.submit(q.id, oracle_labels(d.is_match(q.pair.0, q.pair.1))).unwrap();
+            }
+        }
+        let by_reference = session.outcome();
+        assert_eq!(by_reference, session.finish(), "after the loop drained");
     }
 
     #[test]

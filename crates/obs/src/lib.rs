@@ -105,6 +105,9 @@ pub mod names {
     pub const STATE_BASE_WRITES_TOTAL: &str = "remp_state_base_writes_total";
     /// Gauge: long-poll `/next` requests currently parked server-side.
     pub const LONGPOLL_WAITERS: &str = "remp_longpoll_waiters";
+    /// Counter: long-poll dispatcher wake-ups, by `reason` (`park`,
+    /// `event`, `shutdown`, `timeout`).
+    pub const LONGPOLL_DISPATCHER_WAKEUPS_TOTAL: &str = "remp_longpoll_dispatcher_wakeups_total";
     /// Counter: structured events emitted, by `level`.
     pub const EVENTS_TOTAL: &str = "remp_events_total";
     /// Counter: leases granted, per `campaign`.

@@ -210,8 +210,8 @@ impl ServeClient {
         }
         let stream = TcpStream::connect(&self.addr).map_err(|e| ClientError::Io(e.to_string()))?;
         let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        // The request goes out in small writes; without nodelay, Nagle +
-        // delayed ACKs add tens of milliseconds per round trip.
+        // Each request leaves in one write; nodelay keeps Nagle from
+        // ever holding one back for a delayed ACK.
         let _ = stream.set_nodelay(true);
         let mut reader = BufReader::new(stream);
         match self.try_exchange(&mut reader, method, path, body) {
@@ -230,25 +230,25 @@ impl ServeClient {
     /// Writes one request and reads one complete response off `reader`.
     /// Returns the raw response bytes and whether the connection can be
     /// reused for the next request.
-    fn try_exchange(
+    fn try_exchange<S: Read + Write>(
         &self,
-        reader: &mut BufReader<TcpStream>,
+        reader: &mut BufReader<S>,
         method: &str,
         path: &str,
         body: &[u8],
     ) -> Result<(Vec<u8>, bool), ExchangeError> {
-        let head = format!(
+        // Head and body in one buffer, so the request leaves in one
+        // write(2).
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
             self.addr,
             body.len(),
             if self.keepalive { "keep-alive" } else { "close" }
-        );
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
         let stream = reader.get_mut();
-        let send = stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
-            .and_then(|()| stream.flush());
-        if let Err(e) = send {
+        if let Err(e) = stream.write_all(&request).and_then(|()| stream.flush()) {
             return Err(ExchangeError::Retryable(e.to_string()));
         }
 
@@ -398,6 +398,59 @@ mod tests {
 
         assert!(parse_response(b"garbage").is_err());
         assert!(parse_response(b"HTTP/1.1 ??\r\n\r\n").is_err());
+    }
+
+    /// An in-memory connection: every `write` call is recorded on its
+    /// own, reads come from a canned response.
+    struct ScriptedConn {
+        writes: Vec<Vec<u8>>,
+        response: std::io::Cursor<Vec<u8>>,
+    }
+
+    impl Read for ScriptedConn {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.response.read(buf)
+        }
+    }
+
+    impl Write for ScriptedConn {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_post_reaches_the_connection_as_one_write() {
+        let client = ServeClient::new("127.0.0.1:8787");
+        let conn = ScriptedConn {
+            writes: Vec::new(),
+            response: std::io::Cursor::new(
+                b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 2\r\nconnection: keep-alive\r\n\r\n{}".to_vec(),
+            ),
+        };
+        let mut reader = BufReader::new(conn);
+        let body = br#"{"worker":"w0","question":"q3","says_match":true}"#;
+        let Ok((raw, reuse)) =
+            client.try_exchange(&mut reader, "POST", "/campaigns/c0/answers", body)
+        else {
+            panic!("exchange over a scripted connection failed");
+        };
+        assert!(reuse);
+        assert!(raw.ends_with(b"\r\n\r\n{}"));
+        let writes = &reader.get_ref().writes;
+        assert_eq!(writes.len(), 1, "head and body must leave in one write");
+        let mut expected = format!(
+            "POST /campaigns/c0/answers HTTP/1.1\r\nhost: 127.0.0.1:8787\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        expected.extend_from_slice(body);
+        assert_eq!(writes[0], expected);
     }
 
     /// Serves `per_conn` canned keep-alive responses on each of `conns`

@@ -518,10 +518,9 @@ impl<'a> CampaignEngine<'a> {
             self.refill()?;
         }
         self.prune_leases(now_ms);
-        let complete = !self.paused && self.open.is_empty() && self.session.is_drained();
         Ok(Progress {
             paused: self.paused,
-            complete,
+            complete: self.is_complete(),
             loops: self.session.loops(),
             questions_asked: self.session.questions_asked(),
             issued: self.session.issued_questions(),
@@ -555,19 +554,28 @@ impl<'a> CampaignEngine<'a> {
     /// pool nor needs a clock, so the actor can refresh gauges after
     /// every message for free.
     pub fn gauge_snapshot(&self) -> (usize, usize, usize, bool) {
-        let complete = !self.paused && self.open.is_empty() && self.session.is_drained();
-        (self.open.len(), self.session.questions_asked(), self.estimator.len(), complete)
+        (self.open.len(), self.session.questions_asked(), self.estimator.len(), self.is_complete())
+    }
+
+    /// Whether the campaign has drained: not paused, no open question,
+    /// and the session will issue no more. Reads state only — it does
+    /// not refill, so it reflects the last refill (every
+    /// [`next_for`](Self::next_for) and [`progress`](Self::progress)
+    /// refills first).
+    pub fn is_complete(&self) -> bool {
+        !self.paused && self.open.is_empty() && self.session.is_drained()
     }
 
     /// The final (or provisional) outcome. Works at any point: the
-    /// session is cloned (and, when enabled, the isolated-pair
-    /// classifier runs), so an operator can inspect a mid-flight
-    /// campaign without consuming it. The result is memoized until the
-    /// next answer is submitted, so polling a quiet or completed
-    /// campaign costs one clone total, not one per request.
+    /// session reports by reference (and, when enabled, the
+    /// isolated-pair classifier runs), so an operator can inspect a
+    /// mid-flight campaign without consuming it. The result is memoized
+    /// until the next answer is submitted, so polling a quiet or
+    /// completed campaign runs the classifier once, not once per
+    /// request.
     pub fn outcome(&mut self) -> RempOutcome {
         if self.outcome_cache.is_none() {
-            self.outcome_cache = Some(self.session.clone().finish());
+            self.outcome_cache = Some(self.session.outcome());
         }
         self.outcome_cache.clone().expect("filled above")
     }

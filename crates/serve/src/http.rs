@@ -257,6 +257,10 @@ pub fn write_response<W: Write>(
 
 /// [`write_response`] with an explicit `Content-Type` — `/metrics`
 /// answers Prometheus text exposition, not JSON.
+///
+/// The whole message goes to `stream` in one `write_all`, so on a
+/// socket it leaves in one `write(2)`: with `TCP_NODELAY` on, each
+/// separate write would be its own segment and its own reader wake-up.
 pub fn write_response_typed<W: Write>(
     stream: &mut W,
     status: u16,
@@ -264,8 +268,9 @@ pub fn write_response_typed<W: Write>(
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
+    let mut message = Vec::with_capacity(128 + body.len());
     write!(
-        stream,
+        message,
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         status,
         reason_phrase(status),
@@ -273,7 +278,8 @@ pub fn write_response_typed<W: Write>(
         body.len(),
         if keep_alive { "keep-alive" } else { "close" }
     )?;
-    stream.write_all(body.as_bytes())?;
+    message.extend_from_slice(body.as_bytes());
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -358,6 +364,48 @@ mod tests {
         write_response(&mut out, 200, "{}", true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
+    }
+
+    /// A sink that records every `write` call separately.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_is_one_write_of_the_same_bytes() {
+        let mut sink = CountingWrite::default();
+        write_response(&mut sink, 409, "{\"error\":{}}", false).unwrap();
+        assert_eq!(sink.writes.len(), 1, "head and body must leave in one write");
+        assert_eq!(
+            sink.writes[0],
+            b"HTTP/1.1 409 Conflict\r\ncontent-type: application/json\r\ncontent-length: 12\r\nconnection: close\r\n\r\n{\"error\":{}}"
+        );
+
+        let mut sink = CountingWrite::default();
+        write_response_typed(&mut sink, 200, "text/plain; version=0.0.4", "up 1\n", true).unwrap();
+        assert_eq!(sink.writes.len(), 1, "head and body must leave in one write");
+        assert_eq!(
+            sink.writes[0],
+            b"HTTP/1.1 200 OK\r\ncontent-type: text/plain; version=0.0.4\r\ncontent-length: 5\r\nconnection: keep-alive\r\n\r\nup 1\n"
+        );
+
+        // An empty body is still one write, not a head plus a no-op.
+        let mut sink = CountingWrite::default();
+        write_response(&mut sink, 200, "", true).unwrap();
+        assert_eq!(sink.writes.len(), 1);
+        assert!(sink.writes[0].ends_with(b"content-length: 0\r\nconnection: keep-alive\r\n\r\n"));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -129,46 +129,103 @@ impl CampaignObs {
     }
 }
 
-/// Wakes the server's long-poll dispatcher whenever campaign state
-/// changed in a way that could let a parked `/next` succeed: an
-/// accepted answer (it may complete a question and open the next
-/// batch), a pause/resume, or shutdown. A bare epoch + condvar —
-/// waiters record the epoch they have seen and block until it moves
+/// Wakes the server's long-poll dispatcher. A waiter parking and
+/// shutdown always wake it; campaign events that could let a parked
+/// `/next` succeed (an accepted answer, which may complete a question
+/// and open the next batch, or a pause/resume) wake it only while a
+/// waiter is parked, so answers with no long-poll parked leave the
+/// dispatcher asleep (only its tick runs). An epoch + condvar: the
+/// dispatcher records the epoch it has seen and blocks until it moves
 /// past.
 #[derive(Debug, Default)]
 pub struct CampaignNotifier {
-    epoch: Mutex<u64>,
+    state: Mutex<NotifyState>,
     cond: Condvar,
+    /// Waiters parked and not yet answered.
+    parked: AtomicUsize,
+}
+
+/// The epoch, and which reasons bumped it since the dispatcher last woke.
+#[derive(Debug, Default)]
+struct NotifyState {
+    epoch: u64,
+    pending: [bool; 3],
+}
+
+/// Why the long-poll dispatcher was woken.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WakeReason {
+    /// A waiter parked.
+    Park,
+    /// A campaign event while waiters were parked.
+    Event,
+    /// The server or the registry is shutting down.
+    Shutdown,
+}
+
+/// What [`CampaignNotifier::wait_past`] woke up to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Wakeup {
+    /// The epoch at wake-up; pass it to the next `wait_past`.
+    pub epoch: u64,
+    /// Why the epoch moved, or `None` when the wait timed out. When
+    /// several causes coalesce, shutdown wins over an event, and an
+    /// event over a park.
+    pub reason: Option<WakeReason>,
 }
 
 impl CampaignNotifier {
     /// The current epoch; pass to [`wait_past`](Self::wait_past).
     pub fn epoch(&self) -> u64 {
-        *self.epoch.lock().expect("notifier poisoned")
+        self.state.lock().expect("notifier poisoned").epoch
     }
 
-    /// Bumps the epoch and wakes every waiter.
-    pub fn notify(&self) {
-        let mut epoch = self.epoch.lock().expect("notifier poisoned");
-        *epoch += 1;
-        drop(epoch);
+    /// Bumps the epoch and wakes the waiting dispatcher.
+    pub fn notify(&self, reason: WakeReason) {
+        let mut state = self.state.lock().expect("notifier poisoned");
+        state.epoch += 1;
+        state.pending[reason as usize] = true;
+        drop(state);
         self.cond.notify_all();
     }
 
-    /// Blocks until the epoch moves past `seen` or `timeout` elapses;
-    /// returns the epoch at wake-up.
-    pub fn wait_past(&self, seen: u64, timeout: std::time::Duration) -> u64 {
+    /// A campaign event: [`notify`](Self::notify)s only while a waiter
+    /// is parked. Call it after the event's state change, from the
+    /// thread that made it: a waiter counted later is re-polled by the
+    /// dispatcher anyway, since parking always notifies.
+    pub fn campaign_event(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            self.notify(WakeReason::Event);
+        }
+    }
+
+    /// Counts a waiter in, before it becomes visible to the dispatcher.
+    pub fn waiter_parked(&self) {
+        self.parked.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Counts an answered waiter out.
+    pub fn waiter_released(&self) {
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Blocks until the epoch moves past `seen` or `timeout` elapses.
+    pub fn wait_past(&self, seen: u64, timeout: std::time::Duration) -> Wakeup {
         let deadline = std::time::Instant::now() + timeout;
-        let mut epoch = self.epoch.lock().expect("notifier poisoned");
-        while *epoch <= seen {
+        let mut state = self.state.lock().expect("notifier poisoned");
+        while state.epoch <= seen {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             if left.is_zero() {
-                break;
+                return Wakeup { epoch: state.epoch, reason: None };
             }
-            let (guard, _) = self.cond.wait_timeout(epoch, left).expect("notifier poisoned");
-            epoch = guard;
+            let (guard, _) = self.cond.wait_timeout(state, left).expect("notifier poisoned");
+            state = guard;
         }
-        *epoch
+        let pending = std::mem::take(&mut state.pending);
+        let reason = [WakeReason::Shutdown, WakeReason::Event, WakeReason::Park]
+            .into_iter()
+            .find(|&reason| pending[reason as usize]);
+        Wakeup { epoch: state.epoch, reason }
     }
 }
 
@@ -502,9 +559,10 @@ impl Registry {
         &self.scale
     }
 
-    /// The long-poll notifier — campaign actors bump it on every event
-    /// that could unblock a parked `/next` (accepted answer, pause
-    /// flip, shutdown), and the server's dispatcher waits on it.
+    /// The long-poll notifier — while a `/next` is parked, campaign
+    /// actors bump it on every event that could unblock it (accepted
+    /// answer, pause flip); shutdown always bumps it, and the server's
+    /// dispatcher waits on it.
     pub fn notifier(&self) -> Arc<CampaignNotifier> {
         Arc::clone(&self.notifier)
     }
@@ -672,7 +730,7 @@ impl Registry {
             }
         }
         // Unblock any long-poll waiter still parked on a campaign.
-        self.notifier.notify();
+        self.notifier.notify(WakeReason::Shutdown);
         checkpointed
     }
 }
@@ -1031,7 +1089,8 @@ fn campaign_actor(
             return;
         }
         // These can unblock a parked long-poll `/next` (or tell it to
-        // fail fast); wake the dispatcher after a successful one.
+        // fail fast); after a successful one, wake the dispatcher if
+        // it holds waiters.
         let wakes_waiters = matches!(
             request,
             CampaignRequest::Answer { .. } | CampaignRequest::Resume | CampaignRequest::Pause
@@ -1044,7 +1103,7 @@ fn campaign_actor(
         }
         if succeeded && wakes_waiters {
             maybe_compact(id, &spec, &engine, &shared, &mut durability);
-            shared.notifier.notify();
+            shared.notifier.campaign_event();
         }
     }
     durability.wal = None;
@@ -1065,7 +1124,7 @@ fn handle_request(
     match request {
         CampaignRequest::Next { worker, now_ms } => {
             let assignment = engine.next_for(&worker, now_ms)?;
-            let complete = engine.progress(now_ms)?.complete;
+            let complete = engine.is_complete();
             // With nothing assignable right now, tell the caller (and
             // the long-poll dispatcher) when a lease expiry could
             // change that.
@@ -1414,6 +1473,35 @@ mod tests {
             config: RempConfig::default(),
             policy: CrowdPolicy { per_question: 2, ..CrowdPolicy::default() },
         }
+    }
+
+    #[test]
+    fn campaign_events_wake_the_dispatcher_only_while_a_waiter_is_parked() {
+        use std::time::Duration;
+        let notifier = CampaignNotifier::default();
+        let seen = notifier.epoch();
+        notifier.campaign_event();
+        assert_eq!(notifier.epoch(), seen, "nothing parked: an event is not a wake-up");
+        assert_eq!(
+            notifier.wait_past(seen, Duration::from_millis(1)),
+            Wakeup { epoch: seen, reason: None }
+        );
+
+        notifier.waiter_parked();
+        notifier.notify(WakeReason::Park);
+        let woke = notifier.wait_past(seen, Duration::from_secs(5));
+        assert_eq!(woke.reason, Some(WakeReason::Park), "parking always wakes");
+        notifier.campaign_event();
+        notifier.notify(WakeReason::Park);
+        let woke = notifier.wait_past(woke.epoch, Duration::from_secs(5));
+        assert_eq!(woke.reason, Some(WakeReason::Event), "an event outranks a coalesced park");
+
+        notifier.waiter_released();
+        notifier.campaign_event();
+        assert_eq!(notifier.epoch(), woke.epoch, "released: events are quiet again");
+        notifier.notify(WakeReason::Shutdown);
+        let woke = notifier.wait_past(woke.epoch, Duration::from_secs(5));
+        assert_eq!(woke.reason, Some(WakeReason::Shutdown), "shutdown always wakes");
     }
 
     #[test]

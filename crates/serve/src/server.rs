@@ -17,10 +17,11 @@
 //!   [`ServerConfig::read_timeout`]), answers it, drains any pipelined
 //!   requests already buffered, and re-parks the socket.
 //! * **the long-poll dispatcher** — `GET /campaigns/{id}/next` with
-//!   `wait_ms` parks here when no question is assignable; the campaign
-//!   actors bump a [`crate::registry::CampaignNotifier`] epoch on every
-//!   accepted answer, pause and resume, and the dispatcher re-polls the
-//!   parked workers until a question frees up or the wait expires.
+//!   `wait_ms` parks here when no question is assignable; while any
+//!   waiter is parked, the campaign actors bump a
+//!   [`crate::registry::CampaignNotifier`] epoch on every accepted
+//!   answer, pause and resume, and the dispatcher re-polls the parked
+//!   workers until a question frees up or the wait expires.
 //!
 //! The thread that called [`Server::run`] owns the listener: it
 //! accepts, tunes and parks new sockets (into the idle set, not a
@@ -56,7 +57,7 @@ use remp_par::Parallelism;
 
 use crate::clock::{Clock, SystemClock};
 use crate::http::{read_request, write_response, write_response_typed, HttpError};
-use crate::registry::{CampaignNotifier, CampaignRequest, Registry};
+use crate::registry::{CampaignNotifier, CampaignRequest, Registry, WakeReason};
 use crate::router::{self, Action, Ctx, Resolution};
 use crate::wire::ServeError;
 
@@ -283,7 +284,7 @@ impl Server {
             let _ = worker.join();
         }
         dispatcher.stop.store(true, Ordering::SeqCst);
-        self.registry.notifier().notify();
+        self.registry.notifier().notify(WakeReason::Shutdown);
         let _ = dispatcher_join.join();
         // Handlers may have parked sockets after the loop exited; close
         // the stragglers with the books balanced.
@@ -479,8 +480,8 @@ impl Server {
         // A peer that stalls mid-request should not pin a handler
         // forever.
         let _ = stream.set_read_timeout(Some(self.read_timeout));
-        // Responses are written in two small chunks; don't let Nagle
-        // hold the second one hostage to a delayed ACK.
+        // Each response leaves in one write; nodelay keeps Nagle from
+        // ever holding one back for a delayed ACK.
         let _ = stream.set_nodelay(true);
     }
 }
@@ -763,7 +764,14 @@ struct ServeStats {
     connections_open: remp_obs::Gauge,
     keepalive_reuse: remp_obs::Counter,
     longpoll_waiters: remp_obs::Gauge,
+    /// Dispatcher wake-ups, one counter per [`WAKE_REASONS`] label.
+    dispatcher_wakeups: [remp_obs::Counter; 4],
 }
+
+/// The `reason` labels of `remp_longpoll_dispatcher_wakeups_total`: one
+/// per [`WakeReason`], in declaration order, then `timeout` for a wait
+/// that ended on its deadline or the tick.
+const WAKE_REASONS: [&str; 4] = ["park", "event", "shutdown", "timeout"];
 
 impl ServeStats {
     fn new() -> ServeStats {
@@ -785,6 +793,13 @@ impl ServeStats {
                 LONGPOLL_WAITERS_HELP,
                 &[],
             ),
+            dispatcher_wakeups: WAKE_REASONS.map(|reason| {
+                reg.counter(
+                    remp_obs::names::LONGPOLL_DISPATCHER_WAKEUPS_TOTAL,
+                    "Long-poll dispatcher wake-ups, by reason.",
+                    &[("reason", reason)],
+                )
+            }),
         }
     }
 
@@ -804,6 +819,10 @@ impl ServeStats {
 
     fn waiters_set(&self, n: usize) {
         self.longpoll_waiters.set(n as f64);
+    }
+
+    fn dispatcher_woke(&self, reason: Option<WakeReason>) {
+        self.dispatcher_wakeups[reason.map_or(3, |r| r as usize)].inc();
     }
 }
 
@@ -925,11 +944,9 @@ fn service_conn(
     max_wait_ms: u64,
 ) -> Disposition {
     let Conn { stream, mut served } = conn;
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return Disposition::Close,
-    };
-    let mut writer = stream;
+    // Both halves borrow the one socket: no per-request `dup`.
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     loop {
         let started = Instant::now();
         let request = match read_request(&mut reader) {
@@ -993,7 +1010,7 @@ fn service_conn(
                             if assignment_is_pending(doc) {
                                 dispatcher.park(
                                     Waiter {
-                                        stream: writer,
+                                        stream,
                                         served,
                                         campaign: campaign_id.unwrap_or_default(),
                                         worker,
@@ -1046,7 +1063,7 @@ fn service_conn(
             return Disposition::Close;
         }
         if reader.buffer().is_empty() {
-            return Disposition::KeepAlive(Conn { stream: writer, served });
+            return Disposition::KeepAlive(Conn { stream, served });
         }
         // Pipelined request already buffered: serve it now, in order.
     }
@@ -1085,23 +1102,29 @@ impl Dispatcher {
     }
 
     fn park(&self, waiter: Waiter, stats: &ServeStats) {
+        // Counted before the waiter is visible, and uncounted only once
+        // it is answered: campaign events wake the dispatcher while any
+        // waiter is anywhere between the two.
+        self.notifier.waiter_parked();
         let count = {
             let mut q = self.queue.lock().expect("longpoll queue poisoned");
             q.push(waiter);
             q.len()
         };
         stats.waiters_set(count);
-        // Wake the dispatcher so the new waiter's deadline bounds the
-        // next wait.
-        self.notifier.notify();
+        // Always wake the dispatcher: it re-polls the new waiter (an
+        // answer may have landed after the handler's `/next` but before
+        // the waiter was counted) and its deadline bounds the next wait.
+        self.notifier.notify(WakeReason::Park);
     }
 }
 
-/// The dispatcher thread: wakes on campaign events (accepted answers,
-/// pause/resume — the actors bump the notifier) or a ≤100 ms tick
-/// (lease expiry is lazy, someone must ask), re-polls every parked
-/// worker and answers those with an assignment, a terminal condition or
-/// an expired wait.
+/// The dispatcher thread: wakes when a waiter parks, on campaign events
+/// while waiters are parked (accepted answers, pause/resume — the
+/// actors bump the notifier), at shutdown, or on a ≤100 ms tick (lease
+/// expiry is lazy, someone must ask). It re-polls every parked worker
+/// and answers those with an assignment, a terminal condition or an
+/// expired wait.
 fn dispatcher_loop(
     dispatcher: &Dispatcher,
     registry: &Registry,
@@ -1128,6 +1151,7 @@ fn dispatcher_loop(
             };
             if resolved || stopping || Instant::now() >= waiter.deadline {
                 respond_waiter(waiter, result, stats, sink);
+                dispatcher.notifier.waiter_released();
             } else {
                 still.push(waiter);
             }
@@ -1154,7 +1178,9 @@ fn dispatcher_loop(
                 .max(Duration::from_millis(1)),
             None => tick,
         };
-        seen = dispatcher.notifier.wait_past(seen, timeout);
+        let wake = dispatcher.notifier.wait_past(seen, timeout);
+        stats.dispatcher_woke(wake.reason);
+        seen = wake.epoch;
     }
 }
 
