@@ -15,8 +15,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use remp_bench::load_dataset;
 use remp_core::{Parallelism, RempConfig};
 
-/// Microbenchmarks measure the single-threaded kernels; the parallel
-/// speedup is `bench_pipeline`'s job.
+/// Microbenchmarks measure the single-threaded kernels; end-to-end
+/// timings at `Parallelism::Fixed(nproc)` are crowdbench's job.
 const SEQ: &Parallelism = &Parallelism::Sequential;
 use remp_ergraph::{
     build_sim_vectors, generate_candidates, initial_matches, match_attributes, prune, PairId,

@@ -6,12 +6,13 @@
 //! (or set `REMP_SCALE`) to multiply them.
 
 use remp_baselines::{corleone, hike, power, CorleoneConfig, HikeConfig, PowerConfig};
-use remp_core::{evaluate_matches, prepare, PrecisionRecall, PreparedEr, Remp, RempConfig};
-use remp_crowd::LabelSource;
+use remp_core::{
+    evaluate_matches, prepare, PrecisionRecall, PreparedEr, Remp, RempConfig, Resolution,
+};
+use remp_crowd::{LabelSource, OracleCrowd};
 use remp_datasets::{generate, preset_by_name, GeneratedDataset};
 use remp_ergraph::PairId;
-use remp_propagation::{inferred_sets_dijkstra, ConsistencyTable, ProbErGraph};
-use remp_selection::{select_batch, BatchStrategy};
+use remp_selection::BatchStrategy;
 
 /// The four datasets in paper order with default harness scales chosen so
 /// the full suite runs in minutes.
@@ -127,112 +128,53 @@ pub fn strategy_label(strategy: BatchStrategy) -> &'static str {
 }
 
 /// The Fig. 5 protocol: µ = 1, ground-truth labels, pluggable selection
-/// strategy; returns the F1 after each checkpoint question count.
+/// strategy; returns the F1 after each checkpoint question count
+/// (`checkpoints` ascending).
 ///
-/// Propagation, truth handling and stopping mirror the pipeline; the
-/// isolated-pair classifier is disabled so the curves isolate selection
-/// quality.
+/// The curve is one [`RempSession`](remp_core::RempSession) campaign
+/// under a budget of the last checkpoint, so propagation, truth handling
+/// and stopping are the pipeline's own. The isolated-pair classifier is
+/// disabled so the curves isolate selection quality. Checkpoints past
+/// the session's stopping rule repeat its final F1.
 pub fn question_curve(
     dataset: &GeneratedDataset,
     prep: &PreparedEr,
     strategy: BatchStrategy,
     checkpoints: &[usize],
 ) -> Vec<(usize, f64)> {
-    let config = RempConfig::default();
-    let mut candidates = prep.candidates.clone();
-    let graph = &prep.graph;
-    let n = candidates.len();
-    let mut resolved_match = vec![false; n];
-    let mut resolved_non = vec![false; n];
-    let mut seeds = prep.initial.clone();
     let max_q = checkpoints.iter().copied().max().unwrap_or(0);
-
-    let mut curve = Vec::new();
-    let mut questions = 0usize;
-    let mut next_checkpoint = 0usize;
-
-    let f1_now = |cands: &remp_ergraph::Candidates, resolved_match: &[bool]| -> f64 {
-        let preds = (0..n).filter(|&i| resolved_match[i]).map(|i| candidates_pair(cands, i));
-        evaluate_matches(preds, &dataset.gold).f1
+    let config = RempConfig::default()
+        .with_mu(1)
+        .with_strategy(strategy)
+        .with_budget(max_q)
+        .without_classifier();
+    let mut session = Remp::new(config)
+        .begin_prepared(&dataset.kb1, &dataset.kb2, prep.clone())
+        .expect("the Fig. 5 configuration is valid");
+    let f1_now = |resolutions: &[Resolution]| {
+        let matches = resolutions
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| matches!(r, Resolution::Match(_)))
+            .map(|(i, _)| prep.candidates.pair(PairId::from_index(i)));
+        evaluate_matches(matches, &dataset.gold).f1
     };
 
-    'outer: while questions < max_q {
-        let cons = ConsistencyTable::estimate(
-            &dataset.kb1,
-            &dataset.kb2,
-            &candidates,
-            graph,
-            &seeds,
-            &config.parallelism,
-        );
-        let pg = ProbErGraph::build(
-            &dataset.kb1,
-            &dataset.kb2,
-            &candidates,
-            graph,
-            &cons,
-            &config.propagation,
-            &config.parallelism,
-        );
-        let inferred = inferred_sets_dijkstra(&pg, config.tau, &config.parallelism);
-        let eligible: Vec<bool> = (0..n)
-            .map(|i| {
-                !resolved_match[i]
-                    && !resolved_non[i]
-                    && !graph.is_isolated_vertex(PairId::from_index(i))
-            })
-            .collect();
-        let cands: Vec<PairId> =
-            (0..n).map(PairId::from_index).filter(|p| eligible[p.index()]).collect();
-        let priors: Vec<f64> = candidates.ids().map(|p| candidates.prior(p)).collect();
-
-        let selected =
-            select_batch(strategy, &cands, &inferred, &priors, &eligible, 1, &config.parallelism);
-        let Some(&q) = selected.first() else { break };
-
-        // Oracle label.
-        let (u1, u2) = candidates.pair(q);
-        let is_match = dataset.is_match(u1, u2);
-        questions += 1;
-        if is_match {
-            resolved_match[q.index()] = true;
-            candidates.set_prior(q, 1.0);
-            for &(p, _) in inferred.inferred(q) {
-                if !resolved_match[p.index()] && !resolved_non[p.index()] {
-                    resolved_match[p.index()] = true;
-                    candidates.set_prior(p, 1.0);
-                }
+    let mut crowd = OracleCrowd::new();
+    let mut curve = Vec::with_capacity(checkpoints.len());
+    let mut pending = checkpoints.iter().copied().peekable();
+    while let Some(batch) = session.next_batch().expect("the curve answers every question") {
+        for q in &batch.questions {
+            let labels = crowd.label(dataset.is_match(q.pair.0, q.pair.1));
+            session.submit(q.id, labels).expect("fresh question");
+            while let Some(c) = pending.next_if(|&c| session.questions_asked() >= c) {
+                curve.push((c, f1_now(session.resolutions())));
             }
-            seeds.extend((0..n).map(PairId::from_index).filter(|p| resolved_match[p.index()]));
-            seeds.sort_unstable();
-            seeds.dedup();
-        } else {
-            resolved_non[q.index()] = true;
-            candidates.set_prior(q, 0.0);
-        }
-
-        while next_checkpoint < checkpoints.len() && questions >= checkpoints[next_checkpoint] {
-            curve.push((checkpoints[next_checkpoint], f1_now(&candidates, &resolved_match)));
-            next_checkpoint += 1;
-        }
-        if next_checkpoint >= checkpoints.len() {
-            break 'outer;
         }
     }
-    // Fill remaining checkpoints with the final F1 (selection exhausted).
-    let final_f1 = f1_now(&candidates, &resolved_match);
-    while next_checkpoint < checkpoints.len() {
-        curve.push((checkpoints[next_checkpoint], final_f1));
-        next_checkpoint += 1;
-    }
+    let final_f1 = f1_now(session.resolutions());
+    curve.extend(pending.map(|c| (c, final_f1)));
     curve
-}
-
-fn candidates_pair(
-    candidates: &remp_ergraph::Candidates,
-    i: usize,
-) -> (remp_kb::EntityId, remp_kb::EntityId) {
-    candidates.pair(PairId::from_index(i))
 }
 
 /// Prepares a dataset with the default configuration (shared stage 1).

@@ -22,7 +22,7 @@
 //! The loop stops when no beneficial question remains (or the budget is
 //! hit); isolated pairs are then resolved by a random-forest classifier
 //! (§VII-B). [`metrics`] carries the evaluation machinery shared by the
-//! test suite and the bench harness.
+//! test suite and the table/figure harnesses of `remp-bench`.
 
 pub mod config;
 pub mod error;
@@ -32,7 +32,6 @@ mod jsonio;
 pub mod metrics;
 pub mod pipeline;
 pub mod prepared;
-pub mod profile;
 pub mod session;
 
 pub use config::RempConfig;
@@ -42,7 +41,6 @@ pub use isolated::classify_isolated;
 pub use metrics::{evaluate_matches, pair_completeness, reduction_ratio, PrecisionRecall};
 pub use pipeline::{MatchSource, Remp, RempOutcome, Resolution};
 pub use prepared::{prepare, PreparedEr};
-pub use profile::{run_pipeline_bench, PipelineBenchOptions, PipelineBenchReport, StageProfile};
 pub use remp_par::Parallelism;
 pub use remp_propagation::{LoopState, PropagationContext, RefreshStats};
 pub use session::{

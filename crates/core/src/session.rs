@@ -167,7 +167,7 @@ impl LoopStat {
         self.refresh.stage_total_s() + self.selection_s
     }
 
-    /// Encodes the stat for reports (`rempd` status, `bench_pipeline`).
+    /// Encodes the stat for reports (`rempd` campaign status).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("loop".into(), Json::from(self.loop_index)),
@@ -349,9 +349,9 @@ impl<'a> RempSession<'a> {
 
     /// Switches between the incremental engine (default) and a
     /// from-scratch stage-2 rebuild every loop. The two produce
-    /// bit-identical campaigns; the full mode exists as the benchmark
-    /// baseline (`bench_pipeline`'s `loops` scenario) and a debugging
-    /// escape hatch.
+    /// bit-identical campaigns; the full mode exists as the reference
+    /// the equivalence suites compare against and a debugging escape
+    /// hatch.
     pub fn set_incremental(&mut self, incremental: bool) {
         self.incremental = incremental;
     }

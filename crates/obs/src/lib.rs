@@ -149,8 +149,9 @@ pub fn enabled() -> bool {
     enabled_cell().load(Ordering::Relaxed)
 }
 
-/// Turns all metric/span/event recording on or off at runtime — the
-/// bench overhead comparison flips this around its disabled runs.
+/// Turns all metric/span/event recording on or off at runtime —
+/// `tests/obs_equivalence.rs` switches it off to show that
+/// instrumentation changes no campaign output.
 pub fn set_enabled(on: bool) {
     enabled_cell().store(on, Ordering::Relaxed);
 }

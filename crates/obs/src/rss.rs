@@ -9,9 +9,9 @@
 //!
 //! Samples are taken at natural checkpoints rather than on a timer:
 //! `rempd` samples when `/metrics` is scraped, `rempctl top` shows the
-//! value, the pipeline/scale bench harnesses sample after each run and
-//! embed the figure in their reports, and `rempctl bench --scale
-//! --max-rss-mb N` turns the gauge into a hard gate.
+//! value, the scale bench harness samples after each point and embeds
+//! the figure in its report, and `rempctl bench --max-rss-mb N` turns
+//! the gauge into a hard gate.
 
 use crate::Gauge;
 

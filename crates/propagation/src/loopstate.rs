@@ -614,9 +614,7 @@ impl LoopState {
 
     /// The from-scratch baseline: recomputes every artifact exactly like
     /// the pre-incremental pipeline did each loop, ignoring all caches.
-    /// Kept as the reference the incremental path is verified against,
-    /// and as the benchmark baseline (`bench_pipeline`'s `loops`
-    /// scenario).
+    /// Kept as the reference the incremental path is verified against.
     pub fn refresh_full(
         &mut self,
         ctx: &PropagationContext<'_>,

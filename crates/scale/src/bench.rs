@@ -1,4 +1,4 @@
-//! The scale bench harness behind `rempctl bench --scale`.
+//! The scale bench harness behind `rempctl bench`.
 //!
 //! One point = generate a synthetic world at scale *n* (streamed to
 //! `.rkb`), plan a stream-mode sharded campaign, run every shard

@@ -19,10 +19,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use remp_core::profile::{
-    parse_min_stage_speedup, parse_thread_list, run_pipeline_bench, PipelineBenchOptions,
-    StageBaseline,
-};
 use remp_core::{evaluate_matches, run_on_dataset, Parallelism, RempConfig};
 use remp_crowd::{LabelSource, OracleCrowd, SimulatedCrowd};
 use remp_datasets::{generate, preset_by_name, tiny};
@@ -176,29 +172,7 @@ USAGE:
         With --min-rps X, exit non-zero when keep-alive requests/s
         falls below X (the CI serving-regression gate).
 
-    rempctl bench [--preset NAME] [--scale X] [--threads LIST]
-                  [--out PATH] [--min-speedup X] [--trace-out PATH]
-                  [--max-obs-overhead PCT] [--baseline PATH]
-                  [--min-stage-speedup STAGE=X,...] [--stage-delta-out PATH]
-        Profile the hot pipeline stages and a full oracle campaign at each
-        thread count (default 1,2,4 on the D-A preset at scale 8) and
-        write the report (default: BENCH_pipeline.json). With
-        --min-speedup X, exit non-zero when the end-to-end speedup of the
-        most-parallel run over the sequential run is below X (the CI
-        regression gate). --trace-out writes a spans.jsonl stage trace
-        of the whole bench; --max-obs-overhead PCT exits non-zero when
-        the instrumented campaign is more than PCT percent slower than
-        the same campaign with observability disabled.
-
-        --baseline PATH reads a committed BENCH_pipeline.json (before
-        --out overwrites it), prints per-stage before/after rows of the
-        sequential run and writes them to --stage-delta-out [default:
-        BENCH_stage_delta.json]. With --min-stage-speedup, e.g.
-        prune=1.3,candidates=1.3,sim_vectors=1.2, exit non-zero when any
-        listed stage's sequential speedup over the baseline falls below
-        its floor (the per-stage CI regression gate).
-
-    rempctl bench --scale [--points N,N,...] [--budget N] [--seed N]
+    rempctl bench [--points N,N,...] [--budget N] [--seed N]
                   [--max-rss-mb MB] [--out PATH] [--work-dir DIR]
                   [--keep-artifacts]
         The scale bench: for each point, generate a world of N entities
@@ -275,13 +249,6 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
 const SWITCHES: [&str; 6] =
     ["--oracle", "--verify", "--require-complete", "--list", "--full", "--keep-artifacts"];
 
-/// Options that may appear with or without a value. `--scale` takes a
-/// dataset scale for `export` and the pipeline bench, but is a bare
-/// mode switch for `rempctl bench --scale` (the scale bench); when the
-/// next token is another option (or the end of the line), the bare form
-/// parses to an empty value.
-const OPTIONAL_VALUE: [&str; 1] = ["--scale"];
-
 struct Opts {
     positional: Vec<String>,
     named: HashMap<String, String>,
@@ -291,12 +258,10 @@ impl Opts {
     fn parse(args: &[String]) -> Result<Opts, CliError> {
         let mut positional = Vec::new();
         let mut named = HashMap::new();
-        let mut iter = args.iter().peekable();
+        let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                let bare_optional = OPTIONAL_VALUE.contains(&arg.as_str())
-                    && iter.peek().is_none_or(|next| next.starts_with("--"));
-                if SWITCHES.contains(&arg.as_str()) || bare_optional {
+                if SWITCHES.contains(&arg.as_str()) {
                     named.insert(key.to_owned(), String::new());
                 } else {
                     let value = iter
@@ -1481,87 +1446,6 @@ fn cmd_storm(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
-    // Bare `--scale` selects the out-of-core scale bench; `--scale X`
-    // keeps its meaning as the pipeline bench's dataset scale factor.
-    if opts.get("scale") == Some("") {
-        return cmd_bench_scale(opts);
-    }
-    let mut bench = PipelineBenchOptions::default();
-    if let Some(preset) = opts.get("preset") {
-        bench.preset = preset.to_owned();
-    }
-    bench.scale = opts.parsed("scale", bench.scale)?;
-    if let Some(raw) = opts.get("threads") {
-        bench.thread_counts = parse_thread_list(raw).map_err(CliError::Usage)?;
-    }
-    let out = opts.get("out").unwrap_or("BENCH_pipeline.json");
-    let floors = opts
-        .get("min-stage-speedup")
-        .map(parse_min_stage_speedup)
-        .transpose()
-        .map_err(CliError::Usage)?;
-    if floors.is_some() && opts.get("baseline").is_none() {
-        return Err(CliError::Usage("--min-stage-speedup needs --baseline".into()));
-    }
-    // Read the baseline before the fresh report lands on --out: CI points
-    // both at the committed BENCH_pipeline.json.
-    let baseline = opts
-        .get("baseline")
-        .map(|path| -> Result<StageBaseline, CliError> {
-            let src = std::fs::read_to_string(path)?;
-            let doc = Json::parse(&src).map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
-            StageBaseline::from_report_json(&doc)
-                .map_err(|e| CliError::Failed(format!("{path}: {e}")))
-        })
-        .transpose()?;
-
-    let trace_out = trace_out_begin(opts);
-    let mut report = run_pipeline_bench(&bench).map_err(CliError::Failed)?;
-    report.baseline = baseline.clone();
-    std::fs::write(out, report.to_json().to_string())?;
-    for line in report.summary_lines() {
-        println!("{line}");
-    }
-    println!("  wrote {out}");
-    if let Some(path) = trace_out {
-        trace_out_finish(path)?;
-    }
-
-    if let Some(baseline) = &baseline {
-        let delta_out = opts.get("stage-delta-out").unwrap_or("BENCH_stage_delta.json");
-        std::fs::write(delta_out, report.stage_delta_json(baseline).to_string())?;
-        println!("  sequential stages vs baseline ({}):", baseline.preset);
-        for (stage, baseline_s, current_s, speedup) in report.stage_delta(baseline) {
-            match (baseline_s, speedup) {
-                (Some(before), Some(speedup)) => {
-                    println!("    {stage}: {before:.4}s -> {current_s:.4}s ({speedup:.2}x)")
-                }
-                _ => println!("    {stage}: (new) -> {current_s:.4}s"),
-            }
-        }
-        println!("  wrote {delta_out}");
-    }
-
-    if let Some(floor) = opts.get("min-speedup") {
-        let floor: f64 = floor
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--min-speedup: cannot parse {floor:?}")))?;
-        report.check_min_speedup(floor).map_err(CliError::Failed)?;
-    }
-    if let (Some(baseline), Some(floors)) = (&baseline, &floors) {
-        report.check_min_stage_speedup(baseline, floors).map_err(CliError::Failed)?;
-        println!("  per-stage regression gate passed ({} floors)", floors.len());
-    }
-    if let Some(cap) = opts.get("max-obs-overhead") {
-        let cap: f64 = cap
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--max-obs-overhead: cannot parse {cap:?}")))?;
-        report.check_max_obs_overhead(cap).map_err(CliError::Failed)?;
-    }
-    Ok(())
-}
-
 // ---- scale: out-of-core generation, sharding, multi-process runs ------
 
 fn cmd_scale_gen(opts: &Opts) -> Result<(), CliError> {
@@ -1865,7 +1749,15 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_bench_scale(opts: &Opts) -> Result<(), CliError> {
+fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
+    // `--scale` takes a value like every other option, so `--scale
+    // --points N` would read `--points` as that value and silently run
+    // the default points: refuse the option outright.
+    if opts.get("scale").is_some() {
+        return Err(CliError::Usage(
+            "rempctl bench takes no --scale: it always runs the scale bench".into(),
+        ));
+    }
     let mut options = ScaleBenchOptions::default();
     if let Some(raw) = opts.get("points") {
         options.points = raw

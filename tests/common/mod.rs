@@ -14,6 +14,21 @@ use remp::datasets::{generate, preset_by_name, GeneratedDataset};
 use remp::kb::EntityId;
 use remp::par::Parallelism;
 
+/// Campaign digests pinned across code changes, one row per entry of
+/// [`presets`], in order: `(preset name, Sequential digest, Fixed(4)
+/// digest)`. They were captured on the `HashMap`/`BTreeMap` layout
+/// immediately before the dense-id refactor, and every way of running a
+/// campaign that must not change its outputs (thread count, engine,
+/// instrumentation) is held to them. The two columns differ only because
+/// the checkpoint embeds the parallelism config.
+pub const PINS: &[(&str, u64, u64)] = &[
+    ("IIMB", 0x5316831745f33ea7, 0x77a3aaaed24dddf4),
+    ("D-A", 0xffe5d6ace05434ee, 0x3bac9e7bba40034d),
+    ("I-Y", 0x1167d6036912695e, 0x4dba2ca2c2cf519b),
+    ("D-Y", 0x5454eb6d20c20388, 0x3cd123696442d315),
+    ("tiny", 0xa3e4e40e13ab6874, 0x18fa44f4b0c47371),
+];
+
 /// Every preset at a laptop-friendly scale — "every preset" is the
 /// point: each one stresses a different KB shape (homogeneous,
 /// heterogeneous, cross-type relationships).

@@ -172,18 +172,11 @@ fn checkpoints_cross_between_modes() {
 /// both the incremental and the from-scratch engine must reproduce the
 /// digests captured on the `HashMap`/`BTreeMap` layout immediately
 /// before the dense-id refactor — one constant per preset × parallelism,
-/// shared with `tests/parallel_equivalence.rs` because the engines are
-/// output-invisible.
+/// the table `common::PINS` that `tests/parallel_equivalence.rs` also
+/// reads, because the engines are output-invisible.
 #[test]
 fn engine_outputs_pinned_to_pre_refactor_digests() {
-    const PINS: &[(&str, u64, u64)] = &[
-        ("IIMB", 0x5316831745f33ea7, 0x77a3aaaed24dddf4),
-        ("D-A", 0xffe5d6ace05434ee, 0x3bac9e7bba40034d),
-        ("I-Y", 0x1167d6036912695e, 0x4dba2ca2c2cf519b),
-        ("D-Y", 0x5454eb6d20c20388, 0x3cd123696442d315),
-        ("tiny", 0xa3e4e40e13ab6874, 0x18fa44f4b0c47371),
-    ];
-    for (dataset, &(name, seq_pin, par_pin)) in common::presets().iter().zip(PINS) {
+    for (dataset, &(name, seq_pin, par_pin)) in common::presets().iter().zip(common::PINS) {
         assert_eq!(dataset.name, name, "preset order drifted under the pins");
         for incremental in [true, false] {
             let seq = common::observe_campaign(dataset, Parallelism::Sequential, Some(incremental));

@@ -97,3 +97,29 @@ fn imdb_yago_sharded_matches_single_process() {
 fn dbpedia_yago_sharded_matches_single_process() {
     assert_preset_equivalence("dy", "D-Y", 0.1, CrowdSpec::Oracle);
 }
+
+/// `rempctl bench` is the scale bench alone and refuses `--scale`: the
+/// option always takes a value, so `--scale --points N` would read
+/// `--points` as the scale and silently run the default points.
+#[test]
+fn bench_refuses_the_scale_option() {
+    let dir = std::env::temp_dir().join("remp-scale-eq-bench-usage");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // A regular file as the work dir: were `--scale` accepted, the bench
+    // would fail on its first point at once instead of running it.
+    let not_a_dir = dir.join("not-a-dir");
+    std::fs::write(&not_a_dir, b"").unwrap();
+    let out = dir.join("bench.json");
+    let run = Command::new(env!("CARGO_BIN_EXE_rempctl"))
+        .args(["bench", "--scale", "--points", "1000"])
+        .args(["--work-dir", &not_a_dir.display().to_string()])
+        .args(["--out", &out.display().to_string()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "want a usage error, got:\n{stderr}");
+    assert!(stderr.contains("--scale"), "the error must name the option:\n{stderr}");
+    assert!(!out.exists(), "a refused bench wrote a report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
