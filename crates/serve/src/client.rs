@@ -80,9 +80,12 @@ enum ExchangeError {
 }
 
 /// A campaign-API client bound to one server address.
+///
+/// Every request asks for keep-alive. The client gives a connection up
+/// only when the server answers `connection: close`, sends a response
+/// without a length, or closes it while idle.
 pub struct ServeClient {
     addr: String,
-    keepalive: bool,
     conn: Mutex<Option<BufReader<TcpStream>>>,
     reused: Arc<AtomicU64>,
 }
@@ -94,7 +97,6 @@ impl Clone for ServeClient {
         // counter, so per-process totals stay meaningful.
         ServeClient {
             addr: self.addr.clone(),
-            keepalive: self.keepalive,
             conn: Mutex::new(None),
             reused: Arc::clone(&self.reused),
         }
@@ -103,10 +105,7 @@ impl Clone for ServeClient {
 
 impl std::fmt::Debug for ServeClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeClient")
-            .field("addr", &self.addr)
-            .field("keepalive", &self.keepalive)
-            .finish_non_exhaustive()
+        f.debug_struct("ServeClient").field("addr", &self.addr).finish_non_exhaustive()
     }
 }
 
@@ -115,27 +114,12 @@ impl ServeClient {
     pub fn new(addr: impl Into<String>) -> ServeClient {
         let addr = addr.into();
         let addr = addr.strip_prefix("http://").unwrap_or(&addr).trim_end_matches('/').to_owned();
-        ServeClient {
-            addr,
-            keepalive: true,
-            conn: Mutex::new(None),
-            reused: Arc::new(AtomicU64::new(0)),
-        }
+        ServeClient { addr, conn: Mutex::new(None), reused: Arc::new(AtomicU64::new(0)) }
     }
 
     /// The `host:port` this client talks to.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// Turns connection reuse on or off. Off means every request sends
-    /// `Connection: close` and dials a fresh connection — the one-shot
-    /// baseline `rempctl storm` measures against.
-    pub fn set_keepalive(&mut self, on: bool) {
-        self.keepalive = on;
-        if !on {
-            *self.conn.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        }
     }
 
     /// How many requests (across this client and its clones) were
@@ -240,10 +224,9 @@ impl ServeClient {
         // Head and body in one buffer, so the request leaves in one
         // write(2).
         let mut request = format!(
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
             self.addr,
-            body.len(),
-            if self.keepalive { "keep-alive" } else { "close" }
+            body.len()
         )
         .into_bytes();
         request.extend_from_slice(body);
@@ -310,7 +293,7 @@ impl ServeClient {
                     .read_exact(&mut body)
                     .map_err(|e| ExchangeError::Fatal(ClientError::Io(e.to_string())))?;
                 raw.extend_from_slice(&body);
-                self.keepalive && !server_close
+                !server_close
             }
             None => {
                 // No length means the body runs to EOF; the connection
@@ -509,19 +492,6 @@ mod tests {
         client.get("/a").unwrap();
         client.get("/b").unwrap();
         assert_eq!(client.reuse_count(), 0, "every request needed a fresh connection");
-        assert_eq!(server.join().unwrap(), 2);
-    }
-
-    #[test]
-    fn one_shot_mode_never_reuses() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = canned_server(listener, 2, 1);
-        let mut client = ServeClient::new(addr);
-        client.set_keepalive(false);
-        client.get("/a").unwrap();
-        client.get("/b").unwrap();
-        assert_eq!(client.reuse_count(), 0);
         assert_eq!(server.join().unwrap(), 2);
     }
 

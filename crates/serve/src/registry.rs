@@ -567,6 +567,12 @@ impl Registry {
         Arc::clone(&self.notifier)
     }
 
+    /// Long-poll `/next` requests parked on this registry's server and
+    /// not yet answered.
+    pub(crate) fn longpoll_waiters(&self) -> usize {
+        self.notifier.parked.load(Ordering::SeqCst)
+    }
+
     /// Total on-disk bytes across the live campaigns' answer WALs —
     /// the `/healthz` serving-pressure number.
     pub fn wal_bytes(&self) -> u64 {

@@ -45,6 +45,8 @@ pub struct Ctx<'r> {
     pub params: Vec<&'r str>,
     /// The campaign registry.
     pub registry: &'r Registry,
+    /// Sockets this server holds open, the request's own included.
+    pub connections_open: usize,
 }
 
 impl Ctx<'_> {
@@ -280,13 +282,6 @@ pub fn campaign_in_path(path: &str) -> Option<&str> {
 // ---- handlers ---------------------------------------------------------
 
 fn healthz(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
-    let reg = remp_obs::global();
-    let connections = reg
-        .gauge(remp_obs::names::HTTP_CONNECTIONS_OPEN, crate::server::CONNECTIONS_OPEN_HELP, &[])
-        .get();
-    let waiters = reg
-        .gauge(remp_obs::names::LONGPOLL_WAITERS, crate::server::LONGPOLL_WAITERS_HELP, &[])
-        .get();
     Ok((
         200,
         Json::Obj(vec![
@@ -296,11 +291,12 @@ fn healthz(ctx: &Ctx) -> Result<(u16, Json), ServeError> {
             ("campaigns".into(), Json::from(ctx.registry.list().len())),
             ("observability".into(), Json::from(remp_obs::enabled())),
             ("metric_series".into(), Json::from(remp_obs::global().series_count())),
-            // Serving pressure: how many sockets are open, how many of
-            // them are parked long-polls, and how much un-compacted
-            // answer WAL is on disk.
-            ("connections_open".into(), Json::from(connections.max(0.0) as u64)),
-            ("longpoll_waiters".into(), Json::from(waiters.max(0.0) as u64)),
+            // Serving pressure: how many sockets this server holds open,
+            // how many of them are parked long-polls, and how much
+            // un-compacted answer WAL is on disk. Counted per server, so
+            // two servers in one process never read each other's.
+            ("connections_open".into(), Json::from(ctx.connections_open)),
+            ("longpoll_waiters".into(), Json::from(ctx.registry.longpoll_waiters())),
             ("wal_bytes".into(), Json::from(ctx.registry.wal_bytes())),
         ]),
     ))

@@ -749,14 +749,6 @@ pub fn install_signal_handlers() {}
 /// answers with.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
-/// Help text for `remp_http_connections_open` — shared with the
-/// `/healthz` handler, which reads the gauge back.
-pub(crate) const CONNECTIONS_OPEN_HELP: &str =
-    "Open HTTP connections (accepted and not yet closed).";
-/// Help text for `remp_longpoll_waiters`.
-pub(crate) const LONGPOLL_WAITERS_HELP: &str =
-    "Long-poll /next requests currently parked server-side.";
-
 /// The serving-layer instruments, registered once at bind.
 #[derive(Clone)]
 struct ServeStats {
@@ -780,7 +772,7 @@ impl ServeStats {
             open: Arc::new(AtomicI64::new(0)),
             connections_open: reg.gauge(
                 remp_obs::names::HTTP_CONNECTIONS_OPEN,
-                CONNECTIONS_OPEN_HELP,
+                "Open HTTP connections (accepted and not yet closed).",
                 &[],
             ),
             keepalive_reuse: reg.counter(
@@ -790,7 +782,7 @@ impl ServeStats {
             ),
             longpoll_waiters: reg.gauge(
                 remp_obs::names::LONGPOLL_WAITERS,
-                LONGPOLL_WAITERS_HELP,
+                "Long-poll /next requests currently parked server-side.",
                 &[],
             ),
             dispatcher_wakeups: WAKE_REASONS.map(|reason| {
@@ -996,7 +988,12 @@ fn service_conn(
                         .min(max_wait_ms);
                     let worker =
                         request.query_value("worker").map(str::to_owned).unwrap_or_default();
-                    let ctx = Ctx { request: &request, params, registry };
+                    let ctx = Ctx {
+                        request: &request,
+                        params,
+                        registry,
+                        connections_open: stats.open_count(),
+                    };
                     let result = handler(&ctx);
                     // Nothing assignable and the caller offered to wait:
                     // park the socket on the dispatcher instead of

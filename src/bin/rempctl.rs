@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use remp_core::{evaluate_matches, run_on_dataset, Parallelism, RempConfig};
 use remp_crowd::{LabelSource, OracleCrowd, SimulatedCrowd};
-use remp_datasets::{generate, preset_by_name, tiny};
+use remp_datasets::{generate, preset_by_name};
 use remp_ingest::{
     export_dataset, load_gold, load_kb, load_snapshot, snapshot_stats, write_snapshot,
     ExportFormat, FileDataset,
@@ -156,22 +156,6 @@ USAGE:
         exposition, and with --require exit non-zero unless every
         listed metric family is present — the CI well-formedness gate.
 
-    rempctl storm [--workers N] [--requests N] [--seed N]
-                  [--min-rps X] [--out PATH]
-        The serving bench: start an embedded rempd on a free port and
-        hammer it over real sockets. Phase 1 pings /healthz from N
-        concurrent workers [500], --requests each [20], once over
-        keep-alive connections and once opening a fresh connection per
-        request, reporting requests/s and p50/p99 latency for both.
-        Phase 2 runs a TINY crowd campaign where every worker blocks in
-        `GET .../next?wait_ms=` long-polls (seeded 10% answer noise).
-        Phase 3 copies the live state dir — the exact kill -9 disk
-        image: genesis checkpoint plus answer WAL — restarts on the
-        copy and measures WAL replay time, failing unless the recovered
-        outcome is byte-identical. Writes BENCH_serve.json [--out].
-        With --min-rps X, exit non-zero when keep-alive requests/s
-        falls below X (the CI serving-regression gate).
-
     rempctl bench [--points N,N,...] [--budget N] [--seed N]
                   [--max-rss-mb MB] [--out PATH] [--work-dir DIR]
                   [--keep-artifacts]
@@ -214,33 +198,62 @@ fn main() -> ExitCode {
     }
 }
 
+/// A verb's handler.
+type Command = fn(&Opts) -> Result<(), CliError>;
+
+/// Every verb, its handler and the options it accepts (space-separated,
+/// without the leading `--`). Any other option is a usage error: a typo
+/// like `run --budgt 30` must not quietly run a campaign with no budget.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("export", cmd_export, "preset out scale format"),
+    ("import", cmd_import, "name"),
+    ("inspect", cmd_inspect, ""),
+    (
+        "run",
+        cmd_run,
+        "kb1 kb2 gold oracle workers quality per-question seed budget mu threads trace-out",
+    ),
+    ("serve", cmd_serve, "addr state-dir threads"),
+    (
+        "drive",
+        cmd_drive,
+        "url kb1 kb2 gold campaign name verify workers quality per-question seed budget mu",
+    ),
+    (
+        "simulate",
+        cmd_simulate,
+        "seed threads out trace min-f1 max-questions require-complete sweep list",
+    ),
+    (
+        "scale-gen",
+        cmd_scale_gen,
+        "entities out seed match-rate mean-degree rels vocab label-noise name",
+    ),
+    (
+        "scale-plan",
+        cmd_scale_plan,
+        "dir shards full max-block budget seed name oracle workers quality per-question \
+         kb1 kb2 gold",
+    ),
+    ("scale-run", cmd_scale_run, "dir workers url out lease-ms"),
+    ("shard-worker", cmd_shard_worker, "url job worker poll-ms"),
+    ("top", cmd_top, "url interval iterations"),
+    ("metrics", cmd_metrics, "url require"),
+    ("bench", cmd_bench, "points budget seed max-rss-mb out work-dir keep-artifacts"),
+];
+
 fn dispatch(args: &[String]) -> Result<(), CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Err(CliError::Usage("no command given".into()));
     };
-    let opts = Opts::parse(rest)?;
-    match command.as_str() {
-        "export" => cmd_export(&opts),
-        "import" => cmd_import(&opts),
-        "inspect" => cmd_inspect(&opts),
-        "run" => cmd_run(&opts),
-        "serve" => cmd_serve(&opts),
-        "drive" => cmd_drive(&opts),
-        "simulate" => cmd_simulate(&opts),
-        "top" => cmd_top(&opts),
-        "metrics" => cmd_metrics(&opts),
-        "storm" => cmd_storm(&opts),
-        "bench" => cmd_bench(&opts),
-        "scale-gen" => cmd_scale_gen(&opts),
-        "scale-plan" => cmd_scale_plan(&opts),
-        "scale-run" => cmd_scale_run(&opts),
-        "shard-worker" => cmd_shard_worker(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(());
     }
+    let Some(&(verb, run, accepted)) = COMMANDS.iter().find(|(verb, ..)| verb == command) else {
+        return Err(CliError::Usage(format!("unknown command {command:?}")));
+    };
+    run(&Opts::parse(verb, accepted, rest)?)
 }
 
 // ---- argument parsing -------------------------------------------------
@@ -255,12 +268,17 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, CliError> {
+    /// Parses `args` for `verb`, refusing any option not in `accepted`
+    /// before it can swallow the next argument as its value.
+    fn parse(verb: &str, accepted: &str, args: &[String]) -> Result<Opts, CliError> {
         let mut positional = Vec::new();
         let mut named = HashMap::new();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
+                if !accepted.split(' ').any(|known| known == key) {
+                    return Err(CliError::Usage(format!("{verb} does not take --{key}")));
+                }
                 if SWITCHES.contains(&arg.as_str()) {
                     named.insert(key.to_owned(), String::new());
                 } else {
@@ -1041,411 +1059,6 @@ fn cmd_metrics(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-// ---- storm: the serving bench -----------------------------------------
-
-/// An embedded rempd — the same [`Server`] the daemon runs — on a free
-/// port, so the bench owns the whole lifecycle including the recovery
-/// restart. Stopped and joined on `stop()`; killed on drop so a failed
-/// phase never leaks a listener.
-struct StormServer {
-    addr: String,
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl StormServer {
-    fn start(state_dir: &Path, max_connections: usize) -> Result<StormServer, CliError> {
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".into(),
-            state_dir: Some(state_dir.to_path_buf()),
-            max_connections,
-            ..ServerConfig::default()
-        };
-        let server =
-            Server::bind(&config).map_err(|e| CliError::Failed(format!("storm bind: {e}")))?;
-        let addr = server.local_addr().to_string();
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let join = std::thread::spawn(move || {
-            server.run(&flag).expect("storm server run");
-        });
-        Ok(StormServer { addr, stop, join: Some(join) })
-    }
-
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            join.join().expect("storm server thread");
-        }
-    }
-}
-
-impl Drop for StormServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-/// Nearest-rank quantile over an already-sorted latency vector.
-fn quantile_ms(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-struct PingStats {
-    requests: usize,
-    wall_s: f64,
-    rps: f64,
-    p50_ms: f64,
-    p99_ms: f64,
-}
-
-impl PingStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("requests".into(), Json::from(self.requests)),
-            ("wall_s".into(), Json::from(self.wall_s)),
-            ("requests_per_s".into(), Json::from(self.rps)),
-            ("p50_ms".into(), Json::from(self.p50_ms)),
-            ("p99_ms".into(), Json::from(self.p99_ms)),
-        ])
-    }
-}
-
-/// `workers` concurrent clients × `requests` GETs of /healthz each,
-/// released together by a barrier. `keepalive: false` opens a fresh
-/// connection per request — the one-shot baseline the keep-alive path
-/// is measured against.
-fn storm_ping(
-    addr: &str,
-    workers: usize,
-    requests: usize,
-    keepalive: bool,
-) -> Result<PingStats, CliError> {
-    let barrier = std::sync::Barrier::new(workers + 1);
-    let (wall_s, results) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let barrier = &barrier;
-                scope.spawn(move || -> Result<Vec<f64>, String> {
-                    let mut client = ServeClient::new(addr);
-                    client.set_keepalive(keepalive);
-                    // One untimed request so the measured window sees
-                    // steady-state serving, not the simultaneous
-                    // connect stampede the barrier would create.
-                    client.get("/healthz").map_err(|e| e.to_string())?;
-                    let mut latencies = Vec::with_capacity(requests);
-                    barrier.wait();
-                    for _ in 0..requests {
-                        let t = Instant::now();
-                        client.get("/healthz").map_err(|e| e.to_string())?;
-                        latencies.push(t.elapsed().as_secs_f64() * 1e3);
-                    }
-                    Ok(latencies)
-                })
-            })
-            .collect();
-        barrier.wait();
-        let t0 = Instant::now();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        (t0.elapsed().as_secs_f64(), results)
-    });
-    let mut latencies = Vec::with_capacity(workers * requests);
-    for result in results {
-        latencies.extend(result.expect("ping worker").map_err(CliError::Failed)?);
-    }
-    latencies.sort_by(f64::total_cmp);
-    Ok(PingStats {
-        requests: latencies.len(),
-        wall_s,
-        rps: latencies.len() as f64 / wall_s.max(1e-9),
-        p50_ms: quantile_ms(&latencies, 0.5),
-        p99_ms: quantile_ms(&latencies, 0.99),
-    })
-}
-
-struct LongPollOutcome {
-    questions_asked: u64,
-    answers_accepted: u64,
-    answers_rejected: u64,
-    peak_waiters: u64,
-    wall_s: f64,
-}
-
-/// Every worker loops `GET .../next?wait_ms=2000` — parking server-side
-/// when nothing is assignable — and answers what it is handed, with a
-/// seeded 10% error rate so truth inference has real work. The main
-/// thread samples /healthz for the peak parked-waiter count.
-fn storm_campaign(
-    addr: &str,
-    id: &str,
-    workers: usize,
-    seed: u64,
-    truth: &(dyn Fn(EntityId, EntityId) -> bool + Sync),
-) -> Result<LongPollOutcome, CliError> {
-    let t0 = Instant::now();
-    let done = AtomicBool::new(false);
-    let (peak_waiters, tallies) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|i| {
-                let done = &done;
-                scope.spawn(move || -> Result<(u64, u64), String> {
-                    let client = ServeClient::new(addr);
-                    let name = format!("storm-{i:04}");
-                    // Per-worker xorshift stream off the storm seed.
-                    let mut rng = (seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-                    let (mut accepted, mut rejected) = (0u64, 0u64);
-                    loop {
-                        let doc = client
-                            .get(&format!("/campaigns/{id}/next?worker={name}&wait_ms=2000"))
-                            .map_err(|e| e.to_string())?;
-                        if doc.get("complete").and_then(Json::as_bool) == Some(true) {
-                            done.store(true, Ordering::Relaxed);
-                            return Ok((accepted, rejected));
-                        }
-                        let Some(a) = doc.get("assignment").filter(|a| !matches!(a, Json::Null))
-                        else {
-                            continue;
-                        };
-                        let field = |key: &str| {
-                            a.get(key)
-                                .and_then(Json::as_u64)
-                                .and_then(|n| u32::try_from(n).ok())
-                                .ok_or_else(|| format!("assignment without '{key}'"))
-                        };
-                        let qid = a
-                            .get("id")
-                            .and_then(Json::as_str)
-                            .ok_or("assignment without id")?
-                            .to_owned();
-                        let mut says = truth(EntityId(field("u1")?), EntityId(field("u2")?));
-                        rng ^= rng << 13;
-                        rng ^= rng >> 7;
-                        rng ^= rng << 17;
-                        if rng.is_multiple_of(10) {
-                            says = !says;
-                        }
-                        let ack = client.post(
-                            &format!("/campaigns/{id}/answers"),
-                            &Json::Obj(vec![
-                                ("worker".into(), Json::from(name.as_str())),
-                                ("question".into(), Json::from(qid.as_str())),
-                                ("says_match".into(), Json::from(says)),
-                            ]),
-                        );
-                        match ack {
-                            Ok(_) => accepted += 1,
-                            // A lease that expired or a question that
-                            // completed under us — the storm presses on.
-                            Err(e) if e.status().is_some_and(|s| s < 500) => rejected += 1,
-                            Err(e) => return Err(e.to_string()),
-                        }
-                    }
-                })
-            })
-            .collect();
-        let monitor = ServeClient::new(addr);
-        let mut peak = 0u64;
-        while !done.load(Ordering::Relaxed) {
-            if let Ok(health) = monitor.get("/healthz") {
-                let parked = health.get("longpoll_waiters").and_then(Json::as_u64).unwrap_or(0);
-                peak = peak.max(parked);
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        (peak, handles.into_iter().map(|h| h.join()).collect::<Vec<_>>())
-    });
-    let (mut accepted, mut rejected) = (0u64, 0u64);
-    for tally in tallies {
-        let (a, r) = tally.expect("storm worker").map_err(CliError::Failed)?;
-        accepted += a;
-        rejected += r;
-    }
-    let status = ServeClient::new(addr)
-        .get(&format!("/campaigns/{id}"))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    Ok(LongPollOutcome {
-        questions_asked: status.get("questions_asked").and_then(Json::as_u64).unwrap_or(0),
-        answers_accepted: accepted,
-        answers_rejected: rejected,
-        peak_waiters,
-        wall_s: t0.elapsed().as_secs_f64(),
-    })
-}
-
-/// Flat copy of the storm state dir — taken while the server is still
-/// up (writes have stopped: the campaign is complete), so the copy is
-/// exactly what a kill -9 would leave: the last checkpoint plus the
-/// answer WAL, with no shutdown checkpoint to shortcut replay.
-fn copy_state_dir(src: &Path, dst: &Path) -> std::io::Result<()> {
-    std::fs::create_dir_all(dst)?;
-    for entry in std::fs::read_dir(src)? {
-        let entry = entry?;
-        if entry.file_type()?.is_file() {
-            std::fs::copy(entry.path(), dst.join(entry.file_name()))?;
-        }
-    }
-    Ok(())
-}
-
-fn cmd_storm(opts: &Opts) -> Result<(), CliError> {
-    let workers: usize = opts.parsed("workers", 500)?;
-    let requests: usize = opts.parsed("requests", 20)?;
-    let seed: u64 = opts.parsed("seed", 42)?;
-    let min_rps: f64 = opts.parsed("min-rps", 0.0)?;
-    let out = opts.get("out").unwrap_or("BENCH_serve.json").to_owned();
-    if workers == 0 || requests == 0 {
-        return Err(CliError::Usage("--workers and --requests must be positive".into()));
-    }
-
-    let scratch = std::env::temp_dir().join(format!("remp-storm-{}", std::process::id()));
-    let state_dir = scratch.join("state");
-    let recovery_dir = scratch.join("recovery");
-    let _ = std::fs::remove_dir_all(&scratch);
-    let max_connections = 2 * workers + 64;
-
-    let server = StormServer::start(&state_dir, max_connections)?;
-    println!("storm: embedded rempd on {} · {workers} workers", server.addr);
-
-    // Phase 1 — /healthz floods: keep-alive, then one-connection-per-
-    // request, same worker count, same request count.
-    let keepalive = storm_ping(&server.addr, workers, requests, true)?;
-    println!(
-        "  keep-alive: {:>8.0} req/s  (p50 {:.2}ms / p99 {:.2}ms over {} requests)",
-        keepalive.rps, keepalive.p50_ms, keepalive.p99_ms, keepalive.requests
-    );
-    let oneshot = storm_ping(&server.addr, workers, requests, false)?;
-    println!(
-        "  one-shot:   {:>8.0} req/s  (p50 {:.2}ms / p99 {:.2}ms over {} requests)",
-        oneshot.rps, oneshot.p50_ms, oneshot.p99_ms, oneshot.requests
-    );
-    let speedup = keepalive.rps / oneshot.rps.max(1e-9);
-    println!("  keep-alive speedup: {speedup:.1}x");
-
-    // Phase 2 — a real campaign where every worker long-polls.
-    let d = generate(&tiny(1.0));
-    let truth = |a: EntityId, b: EntityId| d.is_match(a, b);
-    let client = ServeClient::new(server.addr.clone());
-    // A question needs per_question *distinct* workers, so a small
-    // storm must not demand more redundancy than it has workers.
-    let per_question = workers.min(3);
-    let created = client
-        .post(
-            "/campaigns",
-            &Json::Obj(vec![
-                ("name".into(), Json::from("storm")),
-                ("preset".into(), Json::from("TINY")),
-                ("per_question".into(), Json::from(per_question)),
-            ]),
-        )
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let id = created
-        .get("id")
-        .and_then(Json::as_str)
-        .ok_or_else(|| CliError::Failed("campaign create without id".into()))?
-        .to_owned();
-    let longpoll = storm_campaign(&server.addr, &id, workers, seed, &truth)?;
-    println!(
-        "  long-poll campaign: {} questions / {} answers in {:.2}s \
-         (peak {} parked waiters, {} rejected)",
-        longpoll.questions_asked,
-        longpoll.answers_accepted,
-        longpoll.wall_s,
-        longpoll.peak_waiters,
-        longpoll.answers_rejected
-    );
-
-    // Phase 3 — recovery: snapshot the crash image, restart on it, and
-    // demand a byte-identical outcome out of WAL replay.
-    let outcome_before = client
-        .get(&format!("/campaigns/{id}/outcome"))
-        .map_err(|e| CliError::Failed(e.to_string()))?;
-    let health = client.get("/healthz").map_err(|e| CliError::Failed(e.to_string()))?;
-    let wal_bytes = health.get("wal_bytes").and_then(Json::as_u64).unwrap_or(0);
-    copy_state_dir(&state_dir, &recovery_dir)?;
-    server.stop();
-
-    let t0 = Instant::now();
-    let recovered = StormServer::start(&recovery_dir, max_connections)?;
-    let rclient = ServeClient::new(recovered.addr.clone());
-    let rstatus = rclient
-        .get(&format!("/campaigns/{id}"))
-        .map_err(|e| CliError::Failed(format!("recovered status: {e}")))?;
-    let outcome_after = rclient
-        .get(&format!("/campaigns/{id}/outcome"))
-        .map_err(|e| CliError::Failed(format!("recovered outcome: {e}")))?;
-    let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
-    recovered.stop();
-    if outcome_after != outcome_before {
-        return Err(CliError::Failed(
-            "recovered outcome differs from the pre-restart outcome — WAL replay is broken".into(),
-        ));
-    }
-    println!(
-        "  recovery: {} answered questions replayed from {wal_bytes} WAL bytes in {recovery_ms:.1}ms",
-        rstatus.get("questions_asked").and_then(Json::as_u64).unwrap_or(0)
-    );
-
-    // The keep-alive/one-shot ratio is CPU-bound once handler cost
-    // dominates connection setup, so the host's core count is part of
-    // the number — record it next to the results.
-    let host_cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let report = Json::Obj(vec![
-        ("workers".into(), Json::from(workers)),
-        ("requests_per_worker".into(), Json::from(requests)),
-        ("seed".into(), Json::from(seed)),
-        ("host_cpus".into(), Json::from(host_cpus)),
-        (
-            "ping".into(),
-            Json::Obj(vec![
-                ("keepalive".into(), keepalive.to_json()),
-                ("oneshot".into(), oneshot.to_json()),
-                ("keepalive_speedup".into(), Json::from(speedup)),
-            ]),
-        ),
-        (
-            "longpoll".into(),
-            Json::Obj(vec![
-                ("workers".into(), Json::from(workers)),
-                ("questions_asked".into(), Json::from(longpoll.questions_asked)),
-                ("answers_accepted".into(), Json::from(longpoll.answers_accepted)),
-                ("answers_rejected".into(), Json::from(longpoll.answers_rejected)),
-                ("peak_parked_waiters".into(), Json::from(longpoll.peak_waiters)),
-                ("wall_s".into(), Json::from(longpoll.wall_s)),
-            ]),
-        ),
-        (
-            "recovery".into(),
-            Json::Obj(vec![
-                (
-                    "questions_replayed".into(),
-                    Json::from(rstatus.get("questions_asked").and_then(Json::as_u64).unwrap_or(0)),
-                ),
-                ("wal_bytes".into(), Json::from(wal_bytes)),
-                ("recovery_ms".into(), Json::from(recovery_ms)),
-                ("outcome_identical".into(), Json::from(true)),
-            ]),
-        ),
-    ]);
-    std::fs::write(&out, report.to_pretty_string())?;
-    println!("storm: report written to {out}");
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    if min_rps > 0.0 && keepalive.rps < min_rps {
-        return Err(CliError::Failed(format!(
-            "keep-alive throughput {:.0} req/s is below the --min-rps floor {min_rps:.0}",
-            keepalive.rps
-        )));
-    }
-    Ok(())
-}
-
 // ---- scale: out-of-core generation, sharding, multi-process runs ------
 
 fn cmd_scale_gen(opts: &Opts) -> Result<(), CliError> {
@@ -1750,14 +1363,6 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
 }
 
 fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
-    // `--scale` takes a value like every other option, so `--scale
-    // --points N` would read `--points` as that value and silently run
-    // the default points: refuse the option outright.
-    if opts.get("scale").is_some() {
-        return Err(CliError::Usage(
-            "rempctl bench takes no --scale: it always runs the scale bench".into(),
-        ));
-    }
     let mut options = ScaleBenchOptions::default();
     if let Some(raw) = opts.get("points") {
         options.points = raw

@@ -8,8 +8,8 @@
 //! adjacency), so any layout change that perturbs question order,
 //! matches, metrics or checkpoint bytes fails the pin.
 
-use remp::core::{evaluate_matches, Remp, RempConfig, RempOutcome};
-use remp::crowd::{LabelSource, OracleCrowd};
+use remp::core::{evaluate_matches, LoopStat, Remp, RempConfig, RempOutcome, RempSession};
+use remp::crowd::LabelSource;
 use remp::datasets::{generate, preset_by_name, GeneratedDataset};
 use remp::kb::EntityId;
 use remp::par::Parallelism;
@@ -44,22 +44,25 @@ pub struct Observed {
     pub transcript: Vec<(usize, EntityId, EntityId)>,
     pub mid_checkpoint: Option<String>,
     pub outcome: RempOutcome,
+    /// Read only by the incremental-engine suite.
+    #[allow(dead_code)]
+    pub loop_stats: Vec<LoopStat>,
 }
 
-/// Runs one oracle-answered campaign to completion, recording the full
-/// question transcript and a checkpoint right after the first batch.
+/// Runs one campaign to completion with `crowd` answering every
+/// question, recording the full question transcript and a checkpoint
+/// right after the first batch. `configure` sets the session up before
+/// the first batch (engine, per-loop reference check).
 pub fn observe_campaign(
     dataset: &GeneratedDataset,
     parallelism: Parallelism,
-    incremental: Option<bool>,
+    crowd: &mut dyn LabelSource,
+    configure: impl FnOnce(&mut RempSession<'_>),
 ) -> Observed {
     let config = RempConfig::default().with_parallelism(parallelism);
     let remp = Remp::new(config);
-    let mut crowd = OracleCrowd::new();
     let mut session = remp.begin(&dataset.kb1, &dataset.kb2).expect("valid config");
-    if let Some(incremental) = incremental {
-        session.set_incremental(incremental);
-    }
+    configure(&mut session);
     let mut transcript = Vec::new();
     let mut mid_checkpoint = None;
     while let Some(batch) = session.next_batch().expect("no protocol errors") {
@@ -72,7 +75,8 @@ pub fn observe_campaign(
             mid_checkpoint = Some(session.checkpoint().to_json_string());
         }
     }
-    Observed { transcript, mid_checkpoint, outcome: session.finish() }
+    let loop_stats = session.loop_stats().to_vec();
+    Observed { transcript, mid_checkpoint, outcome: session.finish(), loop_stats }
 }
 
 /// FNV-1a over the `Debug` rendering of the whole observable record.

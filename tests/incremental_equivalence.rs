@@ -9,77 +9,33 @@
 
 mod common;
 
-use remp::core::{evaluate_matches, Remp, RempConfig, RempOutcome};
+use remp::core::{evaluate_matches, RempSession};
 use remp::crowd::{LabelSource, OracleCrowd, SimulatedCrowd};
-use remp::datasets::{generate, preset_by_name, GeneratedDataset};
-use remp::kb::EntityId;
+use remp::datasets::{generate, preset_by_name};
 use remp::par::Parallelism;
 
-/// Every preset at a laptop-friendly scale, as in
-/// `tests/parallel_equivalence.rs` — each stresses a different KB shape.
-fn presets() -> Vec<GeneratedDataset> {
-    [("IIMB", 0.25), ("D-A", 0.2), ("I-Y", 0.15), ("D-Y", 0.15), ("TINY", 1.0)]
-        .into_iter()
-        .map(|(name, scale)| generate(&preset_by_name(name, scale).expect("known preset")))
-        .collect()
-}
-
-/// Everything observable about one campaign: the question transcript, a
-/// checkpoint taken after the first completed batch, and the outcome.
-struct CampaignTrace {
-    transcript: Vec<(usize, EntityId, EntityId)>,
-    mid_checkpoint: Option<String>,
-    outcome: RempOutcome,
-    full_rebuild_loops: usize,
-    propagation_passes: usize,
-}
-
-fn run_campaign(
-    dataset: &GeneratedDataset,
-    parallelism: Parallelism,
-    incremental: bool,
-    check_every_loop: bool,
-    crowd: &mut dyn LabelSource,
-) -> CampaignTrace {
-    let config = RempConfig::default().with_parallelism(parallelism);
-    let remp = Remp::new(config);
-    let mut session = remp.begin(&dataset.kb1, &dataset.kb2).expect("valid config");
-    session.set_incremental(incremental);
-    session.set_check_incremental(check_every_loop);
-    let mut transcript = Vec::new();
-    let mut mid_checkpoint = None;
-    while let Some(batch) = session.next_batch().expect("no protocol errors") {
-        for q in &batch.questions {
-            transcript.push((batch.loop_index, q.pair.0, q.pair.1));
-            let labels = crowd.label(dataset.is_match(q.pair.0, q.pair.1));
-            session.submit(q.id, labels).expect("fresh question");
-        }
-        if mid_checkpoint.is_none() {
-            // Same point in both modes: right after the first batch was
-            // folded into the seeds.
-            mid_checkpoint = Some(session.checkpoint().to_json_string());
-        }
-    }
-    let stats = session.loop_stats();
-    let full_rebuild_loops = stats.iter().filter(|s| s.refresh.full_rebuild).count();
-    let propagation_passes = stats.len();
-    CampaignTrace {
-        transcript,
-        mid_checkpoint,
-        outcome: session.finish(),
-        full_rebuild_loops,
-        propagation_passes,
-    }
+/// Session set-up that picks the incremental engine or the from-scratch
+/// one.
+fn on_engine(incremental: bool) -> impl FnOnce(&mut RempSession<'_>) {
+    move |session| session.set_incremental(incremental)
 }
 
 #[test]
 fn incremental_equals_from_scratch_on_every_preset() {
-    for dataset in presets() {
+    for dataset in common::presets() {
         for parallelism in [Parallelism::Sequential, Parallelism::Fixed(4)] {
-            let mut crowd = OracleCrowd::new();
-            let incremental = run_campaign(&dataset, parallelism, true, false, &mut crowd);
-            let mut crowd = OracleCrowd::new();
-            let full = run_campaign(&dataset, parallelism, false, false, &mut crowd);
+            let incremental = common::observe_campaign(
+                &dataset,
+                parallelism,
+                &mut OracleCrowd::new(),
+                on_engine(true),
+            );
+            let full = common::observe_campaign(
+                &dataset,
+                parallelism,
+                &mut OracleCrowd::new(),
+                on_engine(false),
+            );
 
             // Identical question order…
             assert_eq!(
@@ -108,15 +64,20 @@ fn incremental_equals_from_scratch_on_every_preset() {
             );
             // The incremental engine must actually be incremental: one
             // full rebuild (the first pass), deltas afterwards.
-            if incremental.propagation_passes > 1 {
+            let rebuilds = |stats: &[remp::core::LoopStat]| {
+                stats.iter().filter(|s| s.refresh.full_rebuild).count()
+            };
+            if incremental.loop_stats.len() > 1 {
                 assert_eq!(
-                    incremental.full_rebuild_loops, 1,
+                    rebuilds(&incremental.loop_stats),
+                    1,
                     "{}: only the first pass may rebuild from scratch",
                     dataset.name
                 );
             }
             assert_eq!(
-                full.full_rebuild_loops, full.propagation_passes,
+                rebuilds(&full.loop_stats),
+                full.loop_stats.len(),
                 "{}: the baseline must rebuild every pass",
                 dataset.name
             );
@@ -135,7 +96,10 @@ fn incremental_state_matches_reference_every_loop() {
     for (name, scale) in [("TINY", 1.0), ("IIMB", 0.2)] {
         let dataset = generate(&preset_by_name(name, scale).expect("known preset"));
         let mut crowd = SimulatedCrowd::paper_default(20260728);
-        let trace = run_campaign(&dataset, Parallelism::Fixed(2), true, true, &mut crowd);
+        let trace = common::observe_campaign(&dataset, Parallelism::Fixed(2), &mut crowd, |s| {
+            s.set_incremental(true);
+            s.set_check_incremental(true);
+        });
         assert!(!trace.transcript.is_empty(), "{name}: campaign must ask questions");
     }
 }
@@ -146,8 +110,12 @@ fn checkpoints_cross_between_modes() {
     // from-scratch session (and vice versa) with identical results —
     // the engine is pure execution strategy, invisible to the format.
     let dataset = generate(&preset_by_name("IIMB", 0.2).expect("known preset"));
-    let mut crowd = OracleCrowd::new();
-    let reference = run_campaign(&dataset, Parallelism::Sequential, true, false, &mut crowd);
+    let reference = common::observe_campaign(
+        &dataset,
+        Parallelism::Sequential,
+        &mut OracleCrowd::new(),
+        on_engine(true),
+    );
     let checkpoint_json = reference.mid_checkpoint.clone().expect("at least one batch");
 
     let checkpoint = remp::core::SessionCheckpoint::from_json_str(&checkpoint_json).unwrap();
@@ -179,14 +147,24 @@ fn engine_outputs_pinned_to_pre_refactor_digests() {
     for (dataset, &(name, seq_pin, par_pin)) in common::presets().iter().zip(common::PINS) {
         assert_eq!(dataset.name, name, "preset order drifted under the pins");
         for incremental in [true, false] {
-            let seq = common::observe_campaign(dataset, Parallelism::Sequential, Some(incremental));
+            let seq = common::observe_campaign(
+                dataset,
+                Parallelism::Sequential,
+                &mut OracleCrowd::new(),
+                on_engine(incremental),
+            );
             assert_eq!(
                 common::campaign_digest(dataset, &seq),
                 seq_pin,
                 "{name}: sequential {} engine diverged from the pre-refactor outputs",
                 if incremental { "incremental" } else { "from-scratch" }
             );
-            let par = common::observe_campaign(dataset, Parallelism::Fixed(4), Some(incremental));
+            let par = common::observe_campaign(
+                dataset,
+                Parallelism::Fixed(4),
+                &mut OracleCrowd::new(),
+                on_engine(incremental),
+            );
             assert_eq!(
                 common::campaign_digest(dataset, &par),
                 par_pin,

@@ -114,3 +114,21 @@ fn mislabeled_snapshot_extension_is_rejected_cleanly() {
     assert!(err.to_string().contains("bad magic"), "{err}");
     fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `rempctl` refuses an option its verb does not take: a typo such as
+/// `--budgt 30` is a usage error (exit 2), not a campaign run with no
+/// budget.
+#[test]
+fn run_refuses_an_unknown_option() {
+    let dir = fixtures();
+    let path = |name: &str| dir.join(name).display().to_string();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_rempctl"))
+        .args(["run", "--kb1", &path("kb1.nt"), "--kb2", &path("kb2.nt")])
+        .args(["--gold", &path("gold.tsv"), "--oracle", "--budgt", "30"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "want a usage error, got:\n{stderr}");
+    assert!(stderr.contains("--budgt"), "the error must name the option:\n{stderr}");
+    assert!(run.stdout.is_empty(), "a refused run started a campaign");
+}

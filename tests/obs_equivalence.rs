@@ -9,6 +9,7 @@
 
 mod common;
 
+use remp::crowd::OracleCrowd;
 use remp::obs;
 use remp::par::Parallelism;
 
@@ -20,7 +21,8 @@ fn outputs_with_instrumentation_off_match_the_pins() {
         for (parallelism, pin) in
             [(Parallelism::Sequential, seq_pin), (Parallelism::Fixed(4), par_pin)]
         {
-            let observed = common::observe_campaign(dataset, parallelism, None);
+            let observed =
+                common::observe_campaign(dataset, parallelism, &mut OracleCrowd::new(), |_| {});
             assert_eq!(
                 common::campaign_digest(dataset, &observed),
                 pin,

@@ -6,61 +6,35 @@
 
 mod common;
 
-use remp::core::{evaluate_matches, Remp, RempConfig, RempOutcome};
+use remp::core::{evaluate_matches, RempConfig};
 use remp::crowd::{LabelSource, OracleCrowd, SimulatedCrowd};
-use remp::datasets::{generate, preset_by_name, GeneratedDataset};
-use remp::kb::EntityId;
+use remp::datasets::{generate, preset_by_name};
 use remp::par::Parallelism;
-
-/// Every preset at a laptop-friendly scale — "every preset" is the point:
-/// each one stresses a different KB shape (homogeneous, heterogeneous,
-/// cross-type relationships).
-fn presets() -> Vec<GeneratedDataset> {
-    [("IIMB", 0.25), ("D-A", 0.2), ("I-Y", 0.15), ("D-Y", 0.15), ("TINY", 1.0)]
-        .into_iter()
-        .map(|(name, scale)| generate(&preset_by_name(name, scale).expect("known preset")))
-        .collect()
-}
-
-/// One campaign's full observable behaviour: the question order (pair by
-/// pair, in the order posted) plus the final outcome.
-fn run_campaign(
-    dataset: &GeneratedDataset,
-    config: &RempConfig,
-    crowd: &mut dyn LabelSource,
-) -> (Vec<(usize, EntityId, EntityId)>, RempOutcome) {
-    let remp = Remp::new(config.clone());
-    let mut session = remp.begin(&dataset.kb1, &dataset.kb2).expect("valid config");
-    let mut transcript = Vec::new();
-    while let Some(batch) = session.next_batch().expect("no protocol errors") {
-        for q in &batch.questions {
-            transcript.push((batch.loop_index, q.pair.0, q.pair.1));
-            let labels = crowd.label(dataset.is_match(q.pair.0, q.pair.1));
-            session.submit(q.id, labels).expect("fresh question");
-        }
-    }
-    (transcript, session.finish())
-}
 
 #[test]
 fn parallel_equals_sequential_on_every_preset() {
-    for dataset in presets() {
-        let sequential_config = RempConfig::default().with_parallelism(Parallelism::Sequential);
-        let parallel_config = RempConfig::default().with_parallelism(Parallelism::Fixed(4));
-
-        let mut crowd = OracleCrowd::new();
-        let (seq_questions, seq_outcome) = run_campaign(&dataset, &sequential_config, &mut crowd);
-        let mut crowd = OracleCrowd::new();
-        let (par_questions, par_outcome) = run_campaign(&dataset, &parallel_config, &mut crowd);
+    for dataset in common::presets() {
+        let seq = common::observe_campaign(
+            &dataset,
+            Parallelism::Sequential,
+            &mut OracleCrowd::new(),
+            |_| {},
+        );
+        let par = common::observe_campaign(
+            &dataset,
+            Parallelism::Fixed(4),
+            &mut OracleCrowd::new(),
+            |_| {},
+        );
 
         // Identical question order…
-        assert_eq!(seq_questions, par_questions, "{}: question order diverged", dataset.name);
+        assert_eq!(seq.transcript, par.transcript, "{}: question order diverged", dataset.name);
         // …identical matches and resolutions (RempOutcome is PartialEq
         // over matches, resolutions, counts)…
-        assert_eq!(seq_outcome, par_outcome, "{}: outcomes diverged", dataset.name);
+        assert_eq!(seq.outcome, par.outcome, "{}: outcomes diverged", dataset.name);
         // …and identical metrics, bit for bit.
-        let seq_eval = evaluate_matches(seq_outcome.matches.iter().copied(), &dataset.gold);
-        let par_eval = evaluate_matches(par_outcome.matches.iter().copied(), &dataset.gold);
+        let seq_eval = evaluate_matches(seq.outcome.matches.iter().copied(), &dataset.gold);
+        let par_eval = evaluate_matches(par.outcome.matches.iter().copied(), &dataset.gold);
         assert_eq!(seq_eval, par_eval, "{}: metrics diverged", dataset.name);
     }
 }
@@ -89,46 +63,34 @@ fn prepare_is_thread_count_invariant() {
     }
 }
 
-/// The satellite regression test for the session RNG: a *seeded*
+/// The regression test for the session RNG: a *seeded*
 /// `SimulatedCrowd` (stateful RNG, advanced once per question) must see
 /// the exact same question sequence under `Sequential` and `Fixed(4)`
 /// parallelism, and therefore produce the identical label transcript and
-/// final outcome. If parallel code ever reordered or duplicated RNG
-/// draws, the transcripts would diverge.
+/// final outcome. The crowd's labels are a function of its seed and the
+/// sequence of questions it is asked, so an identical question
+/// transcript and label count mean identical labels; if parallel code
+/// ever reordered questions, the transcripts would diverge.
 #[test]
 fn seeded_crowd_transcript_is_identical_across_thread_counts() {
     let dataset = generate(&preset_by_name("IIMB", 0.25).expect("known preset"));
 
-    /// One answered question: `(loop, pair, labels as (quality, vote))`.
-    type TranscriptEntry = (usize, (u32, u32), Vec<(f64, bool)>);
-
     let transcript_under = |parallelism: Parallelism| {
-        let config = RempConfig::default().with_parallelism(parallelism);
-        let remp = Remp::new(config);
         let mut crowd = SimulatedCrowd::paper_default(20260728);
-        let mut session = remp.begin(&dataset.kb1, &dataset.kb2).expect("valid config");
-        let mut transcript: Vec<TranscriptEntry> = Vec::new();
-        while let Some(batch) = session.next_batch().expect("no protocol errors") {
-            for q in &batch.questions {
-                let labels = crowd.label(dataset.is_match(q.pair.0, q.pair.1));
-                transcript.push((
-                    batch.loop_index,
-                    (q.pair.0 .0, q.pair.1 .0),
-                    labels.iter().map(|l| (l.worker_quality, l.says_match)).collect(),
-                ));
-                session.submit(q.id, labels).expect("fresh question");
-            }
-        }
-        (transcript, session.finish(), crowd.questions_asked(), crowd.labels_collected())
+        let observed = common::observe_campaign(&dataset, parallelism, &mut crowd, |_| {});
+        (observed, crowd.questions_asked(), crowd.labels_collected())
     };
 
-    let sequential = transcript_under(Parallelism::Sequential);
-    let parallel = transcript_under(Parallelism::Fixed(4));
-    assert_eq!(sequential.0, parallel.0, "label transcript diverged");
-    assert_eq!(sequential.1, parallel.1, "outcome diverged");
-    assert_eq!(sequential.2, parallel.2, "question count diverged");
-    assert_eq!(sequential.3, parallel.3, "label count diverged");
-    assert!(!sequential.0.is_empty(), "campaign must ask questions for the pin to mean anything");
+    let (sequential, seq_asked, seq_labels) = transcript_under(Parallelism::Sequential);
+    let (parallel, par_asked, par_labels) = transcript_under(Parallelism::Fixed(4));
+    assert_eq!(sequential.transcript, parallel.transcript, "question transcript diverged");
+    assert_eq!(sequential.outcome, parallel.outcome, "outcome diverged");
+    assert_eq!(seq_asked, par_asked, "question count diverged");
+    assert_eq!(seq_labels, par_labels, "label count diverged");
+    assert!(
+        !sequential.transcript.is_empty(),
+        "campaign must ask questions for the pin to mean anything"
+    );
 }
 
 /// Campaign outputs pinned across *code changes*, not just across thread
@@ -142,13 +104,23 @@ fn seeded_crowd_transcript_is_identical_across_thread_counts() {
 fn outputs_pinned_to_pre_refactor_digests() {
     for (dataset, &(name, seq_pin, par_pin)) in common::presets().iter().zip(common::PINS) {
         assert_eq!(dataset.name, name, "preset order drifted under the pins");
-        let seq = common::observe_campaign(dataset, Parallelism::Sequential, None);
+        let seq = common::observe_campaign(
+            dataset,
+            Parallelism::Sequential,
+            &mut OracleCrowd::new(),
+            |_| {},
+        );
         assert_eq!(
             common::campaign_digest(dataset, &seq),
             seq_pin,
             "{name}: sequential campaign diverged from the pre-refactor outputs"
         );
-        let par = common::observe_campaign(dataset, Parallelism::Fixed(4), None);
+        let par = common::observe_campaign(
+            dataset,
+            Parallelism::Fixed(4),
+            &mut OracleCrowd::new(),
+            |_| {},
+        );
         assert_eq!(
             common::campaign_digest(dataset, &par),
             par_pin,
