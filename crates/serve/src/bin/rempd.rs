@@ -12,9 +12,10 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use remp_par::Parallelism;
-use remp_serve::{install_signal_handlers, signal_stop_flag, Server, ServerConfig};
+use remp_serve::{Server, ServerConfig};
 
 const USAGE: &str = "\
 rempd — crowd-campaign HTTP server (see crates/serve/PROTOCOL.md)
@@ -33,6 +34,26 @@ GET /campaigns/ID/events the recent structured events; REMP_OBS=0
 disables instrumentation, REMP_LOG=debug|info|warn|error sets the
 stderr event-log level (default: warn; debug includes an access log).
 ";
+
+/// Tripped by SIGTERM/SIGINT; [`Server::run`] watches it.
+static STOP: AtomicBool = AtomicBool::new(false);
+
+/// Installs SIGTERM/SIGINT handlers that set [`STOP`].
+fn install_signal_handlers() {
+    extern "C" fn request_stop(_signum: i32) {
+        STOP.store(true, Ordering::SeqCst);
+    }
+    // libc is already linked by std; SIGTERM = 15, SIGINT = 2.
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    }
+    // SAFETY: `request_stop` is async-signal-safe: it only stores to an
+    // atomic.
+    unsafe {
+        signal(15, request_stop);
+        signal(2, request_stop);
+    }
+}
 
 fn main() -> ExitCode {
     match run() {
@@ -81,7 +102,7 @@ fn run() -> Result<(), String> {
     for (id, name) in resumed {
         println!("rempd resumed campaign {id} ({name})");
     }
-    let saved = server.run(signal_stop_flag()).map_err(|e| e.to_string())?;
+    let saved = server.run(&STOP).map_err(|e| e.to_string())?;
     println!("rempd shut down cleanly; {saved} campaign(s) checkpointed");
     Ok(())
 }

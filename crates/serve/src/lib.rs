@@ -37,8 +37,8 @@
 //! * [`scale`] — the `/scale` routes: `rempd` as the coordinator of a
 //!   sharded [`remp_scale`] campaign (lease-based shard assignment to
 //!   `rempctl shard-worker` processes, result merge).
-//! * [`server`] — the `poll`-based keep-alive readiness loop, the
-//!   long-poll dispatcher and the handler pool (sized by
+//! * [`server`] — the epoll keep-alive readiness loop, the long-poll
+//!   dispatcher and the handler pool (sized by
 //!   [`remp_par::Parallelism`]).
 //! * [`client`] / [`sim`] — the HTTP client, the named-worker
 //!   [`sim::WireCrowd`], the in-process [`sim::reference_outcome`] and
@@ -55,6 +55,9 @@
 //! server.run(&STOP)?; // blocks; checkpoints campaigns on stop
 //! # Ok::<(), remp_serve::ServeError>(())
 //! ```
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("remp-serve supports Linux only: its serving loop is built on epoll");
 
 pub mod client;
 pub mod clock;
@@ -74,6 +77,6 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use engine::{Assignment, CampaignEngine, CrowdPolicy, LeaseCounters, LeaseStats};
 pub use registry::{CampaignNotifier, CampaignRequest, CampaignSource, CampaignSpec, Registry};
 pub use scale::ScaleJobs;
-pub use server::{install_signal_handlers, signal_stop_flag, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use sim::{drive, drive_n, reference_outcome, CrowdParams, WireCrowd};
 pub use wire::{outcome_matches, ServeError, SubmittedRecord};

@@ -770,7 +770,7 @@ fn write_state_file(dir: &Path, id: &str, body: &Json) -> Result<u64, ServeError
 /// malloc arena, and glibc keeps freed arena pages resident: without
 /// this, a server that hosts campaigns one after another grows by a
 /// campaign's footprint per arena until every arena has held one.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[cfg(target_env = "gnu")]
 fn release_freed_memory() {
     extern "C" {
         fn malloc_trim(pad: usize) -> i32;
@@ -780,7 +780,7 @@ fn release_freed_memory() {
     unsafe { malloc_trim(0) };
 }
 
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+#[cfg(not(target_env = "gnu"))]
 fn release_freed_memory() {}
 
 /// Accepted answers between compactions. Each compaction appends one

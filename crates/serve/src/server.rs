@@ -1,18 +1,17 @@
-//! The `rempd` HTTP server: a readiness-driven keep-alive engine
-//! feeding a fixed handler pool (sized by [`Parallelism`]), routing
-//! onto the campaign [`Registry`] through the declarative
-//! [`crate::router`] table.
+//! The `rempd` HTTP server: an epoll-driven keep-alive engine feeding
+//! a fixed handler pool (sized by [`Parallelism`]), routing onto the
+//! campaign [`Registry`] through the declarative [`crate::router`]
+//! table.
 //!
 //! Connections are HTTP/1.1 keep-alive by default and live in three
 //! places, never more than one at a time:
 //!
-//! * **parked** — idle sockets wait in the readiness backend: on Linux
-//!   a shared level-triggered `EPOLLONESHOT` set the handler threads
-//!   `epoll_wait` on directly (a readable socket wakes exactly one
-//!   handler, with no dispatch thread on the hot path); on other Unixes
-//!   a `poll(2)` loop that feeds a handler queue. Either way a silent
-//!   client costs one fd, never a handler thread, and sockets idle
-//!   beyond [`ServerConfig::keepalive_timeout`] are reaped.
+//! * **parked** — idle sockets wait in a shared level-triggered
+//!   `EPOLLONESHOT` set that the handler threads `epoll_wait` on
+//!   directly: a readable socket wakes exactly one handler, with no
+//!   dispatch thread on the hot path. A silent client costs one fd,
+//!   never a handler thread, and sockets idle beyond
+//!   [`ServerConfig::keepalive_timeout`] are reaped.
 //! * **a handler** — reads exactly one request (bounded by
 //!   [`ServerConfig::read_timeout`]), answers it, drains any pipelined
 //!   requests already buffered, and re-parks the socket.
@@ -36,19 +35,13 @@
 //! this in `rempd`), and [`Server::run`] drains the pool, answers the
 //! parked long-polls, checkpoints every campaign to the state directory
 //! and joins the actors before returning.
-//!
-//! Off Unix there is no readiness binding; a fallback accept loop
-//! serves keep-alive connections directly on the handler threads (an
-//! idle client then holds a handler for up to the read timeout).
 
-#[cfg(not(target_os = "linux"))]
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-#[cfg(not(target_os = "linux"))]
-use std::sync::Condvar;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -130,15 +123,13 @@ impl Server {
         // retransmit. Re-listen with a queue sized to the connection
         // cap — legal on an already-listening socket; the kernel still
         // clamps to net.core.somaxconn.
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            extern "C" {
-                fn listen(fd: i32, backlog: i32) -> i32;
-            }
-            let backlog = i32::try_from(config.max_connections).unwrap_or(i32::MAX).max(128);
-            let _ = unsafe { listen(listener.as_raw_fd(), backlog) };
+        extern "C" {
+            fn listen(fd: i32, backlog: i32) -> i32;
         }
+        let backlog = i32::try_from(config.max_connections).unwrap_or(i32::MAX).max(128);
+        // SAFETY: `listen` takes no pointers; the fd is the live listener
+        // socket this function owns.
+        let _ = unsafe { listen(listener.as_raw_fd(), backlog) };
         // At least two handlers so one slow campaign request can never
         // starve /healthz.
         let pool_size = config.parallelism.threads().max(2);
@@ -173,85 +164,25 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| ServeError::internal("bind", e.to_string()))?;
-        #[cfg(not(target_os = "linux"))]
-        let queue: JobQueue = Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
         let done = Arc::new(AtomicBool::new(false));
         let dispatcher = Arc::new(Dispatcher::new(self.registry.notifier()));
-
-        // Where handlers and the dispatcher put a keep-alive socket once
-        // they are finished with it. On Linux the socket re-arms itself
-        // in the shared epoll set with one `epoll_ctl` — no readiness-
-        // loop round-trip on the hot path.
-        #[cfg(target_os = "linux")]
-        let (sink, table): (ConnSink, Arc<IdleTable>) = {
-            let table = Arc::new(
-                IdleTable::new()
-                    .map_err(|e| ServeError::internal("spawn", format!("epoll: {e}")))?,
-            );
-            let give_back = Arc::clone(&table);
-            let stats = self.stats.clone();
-            let sink: ConnSink = Arc::new(move |conn| {
-                if !give_back.park(conn) {
-                    stats.conn_closed();
-                }
-            });
-            (sink, table)
-        };
-        #[cfg(all(unix, not(target_os = "linux")))]
-        let (sink, returned, wake_rx): (ConnSink, Arc<Mutex<Vec<Conn>>>, _) = {
-            let (wake_rx, wake_tx) = std::os::unix::net::UnixStream::pair()
-                .map_err(|e| ServeError::internal("spawn", format!("wake pipe: {e}")))?;
-            wake_rx
-                .set_nonblocking(true)
-                .map_err(|e| ServeError::internal("spawn", format!("wake pipe: {e}")))?;
-            wake_tx
-                .set_nonblocking(true)
-                .map_err(|e| ServeError::internal("spawn", format!("wake pipe: {e}")))?;
-            let returned: Arc<Mutex<Vec<Conn>>> = Arc::new(Mutex::new(Vec::new()));
-            let give_back = Arc::clone(&returned);
-            let sink: ConnSink = Arc::new(move |conn| {
-                give_back.lock().expect("returned connections poisoned").push(conn);
-                // A full pipe already means a wake-up is pending.
-                use std::io::Write;
-                let _ = (&wake_tx).write(&[1]);
-            });
-            (sink, returned, wake_rx)
-        };
-        #[cfg(not(unix))]
-        let sink: ConnSink = {
-            let queue = Arc::clone(&queue);
-            Arc::new(move |conn| {
-                let (lock, cvar) = &*queue;
-                lock.lock().expect("queue poisoned").push_back(conn);
-                cvar.notify_one();
-            })
-        };
+        let table = Arc::new(
+            IdleTable::new(self.stats.clone())
+                .map_err(|e| ServeError::internal("spawn", format!("epoll: {e}")))?,
+        );
 
         let mut workers = Vec::with_capacity(self.pool_size);
         for i in 0..self.pool_size {
-            #[cfg(target_os = "linux")]
-            let source = Arc::clone(&table);
-            #[cfg(not(target_os = "linux"))]
-            let source = Arc::clone(&queue);
+            let table = Arc::clone(&table);
             let done = Arc::clone(&done);
             let registry = Arc::clone(&self.registry);
             let dispatcher = Arc::clone(&dispatcher);
-            let stats = self.stats.clone();
-            let sink = Arc::clone(&sink);
             let max_wait_ms = self.max_wait_ms;
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("rempd-handler-{i}"))
                     .spawn(move || {
-                        handler_worker(
-                            &source,
-                            &done,
-                            &registry,
-                            &dispatcher,
-                            &stats,
-                            &sink,
-                            max_wait_ms,
-                        )
+                        handler_worker(&table, &done, &registry, &dispatcher, max_wait_ms)
                     })
                     .map_err(|e| ServeError::internal("spawn", e.to_string()))?,
             );
@@ -259,27 +190,19 @@ impl Server {
         let dispatcher_join = {
             let dispatcher = Arc::clone(&dispatcher);
             let registry = Arc::clone(&self.registry);
-            let stats = self.stats.clone();
-            let sink = Arc::clone(&sink);
+            let table = Arc::clone(&table);
             std::thread::Builder::new()
                 .name("rempd-longpoll".into())
-                .spawn(move || dispatcher_loop(&dispatcher, &registry, &stats, &sink))
+                .spawn(move || dispatcher_loop(&dispatcher, &registry, &table))
                 .map_err(|e| ServeError::internal("spawn", e.to_string()))?
         };
 
-        #[cfg(target_os = "linux")]
-        let loop_result = self.readiness_loop_epoll(stop, &table);
-        #[cfg(all(unix, not(target_os = "linux")))]
-        let loop_result = self.readiness_loop(stop, &queue, &returned, &wake_rx);
-        #[cfg(not(unix))]
-        let loop_result = self.accept_loop_basic(stop, &queue);
+        let loop_result = self.accept_loop(stop, &table);
 
-        // Graceful drain: no new connections, finish the queued ones,
+        // Graceful drain: no new connections, finish the in-flight ones,
         // answer the parked long-polls, then persist and stop every
         // campaign.
         done.store(true, Ordering::SeqCst);
-        #[cfg(not(target_os = "linux"))]
-        queue.1.notify_all();
         for worker in workers {
             let _ = worker.join();
         }
@@ -288,25 +211,20 @@ impl Server {
         let _ = dispatcher_join.join();
         // Handlers may have parked sockets after the loop exited; close
         // the stragglers with the books balanced.
-        #[cfg(target_os = "linux")]
-        for _ in 0..table.drain() {
-            self.stats.conn_closed();
-        }
+        table.drain();
         loop_result?;
         self.registry.shutdown()
     }
 
-    /// The Linux accept-and-reap loop. The hot path does not pass
-    /// through here at all: handlers `epoll_wait` on the shared
-    /// [`IdleTable`] oneshot set directly, so a readable socket wakes
-    /// exactly one handler, and a finished handler re-arms the socket
-    /// with one `epoll_ctl`. This thread only accepts new connections
-    /// (parking them into the idle set — only a *readable* socket may
-    /// cost a handler thread) and reaps sockets idle past the
-    /// keep-alive timeout.
-    #[cfg(target_os = "linux")]
-    fn readiness_loop_epoll(&self, stop: &AtomicBool, table: &IdleTable) -> Result<(), ServeError> {
-        use std::os::fd::AsRawFd;
+    /// The accept-and-reap loop. The hot path does not pass through
+    /// here at all: handlers `epoll_wait` on the shared [`IdleTable`]
+    /// oneshot set directly, so a readable socket wakes exactly one
+    /// handler, and a finished handler re-arms the socket with one
+    /// `epoll_ctl`. This thread only accepts new connections (parking
+    /// them into the idle set — only a *readable* socket may cost a
+    /// handler thread) and reaps sockets idle past the keep-alive
+    /// timeout.
+    fn accept_loop(&self, stop: &AtomicBool, table: &IdleTable) -> Result<(), ServeError> {
         let epoll_err = |e: std::io::Error| ServeError::internal("accept", format!("epoll: {e}"));
         // A private epoll set for the listener: the shared one would
         // wake handler threads for it.
@@ -335,9 +253,7 @@ impl Server {
                         Ok((stream, _peer)) => {
                             self.setup_stream(&stream);
                             self.stats.conn_opened();
-                            if !table.park(Conn { stream, served: 0 }) {
-                                self.stats.conn_closed();
-                            }
+                            table.park(Conn { stream, served: 0 });
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -347,127 +263,8 @@ impl Server {
             }
             let now = Instant::now();
             if now >= next_reap {
-                for _ in 0..table.reap(self.keepalive_timeout) {
-                    self.stats.conn_closed();
-                }
+                table.reap(self.keepalive_timeout);
                 next_reap = now + reap_tick;
-            }
-        }
-        Ok(())
-    }
-
-    /// The portable Unix serving loop: `poll` over the listener, the
-    /// wake pipe and every idle keep-alive socket; readable sockets
-    /// move to the handler queue, idle ones past the keep-alive
-    /// timeout are reaped. Linux uses [`Self::readiness_loop_epoll`]
-    /// instead, which scales past a few hundred parked sockets.
-    #[cfg(all(unix, not(target_os = "linux")))]
-    fn readiness_loop(
-        &self,
-        stop: &AtomicBool,
-        queue: &JobQueue,
-        returned: &Mutex<Vec<Conn>>,
-        wake_rx: &std::os::unix::net::UnixStream,
-    ) -> Result<(), ServeError> {
-        use std::os::fd::AsRawFd;
-        let mut idle: Vec<IdleConn> = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
-            let now = Instant::now();
-            idle.retain(|conn| {
-                if now.duration_since(conn.last) > self.keepalive_timeout {
-                    self.stats.conn_closed();
-                    false
-                } else {
-                    true
-                }
-            });
-
-            let accepting = self.stats.open_count() < self.max_connections;
-            let mut fds = Vec::with_capacity(2 + idle.len());
-            fds.push(poll_ffi::PollFd::readable(wake_rx.as_raw_fd()));
-            if accepting {
-                fds.push(poll_ffi::PollFd::readable(self.listener.as_raw_fd()));
-            }
-            let base = fds.len();
-            for conn in &idle {
-                fds.push(poll_ffi::PollFd::readable(conn.stream.as_raw_fd()));
-            }
-            // 50 ms bounds both stop-flag latency and idle-reap
-            // granularity; readable sockets return immediately.
-            poll_ffi::wait(&mut fds, 50)
-                .map_err(|e| ServeError::internal("accept", format!("poll: {e}")))?;
-
-            // Ready idle sockets first, while indices still line up with
-            // the fd array.
-            let mut kept = Vec::with_capacity(idle.len());
-            for (i, conn) in idle.drain(..).enumerate() {
-                if fds[base + i].revents != 0 {
-                    let (lock, cvar) = &**queue;
-                    lock.lock().expect("queue poisoned").push_back(conn.into_job());
-                    cvar.notify_one();
-                } else {
-                    kept.push(conn);
-                }
-            }
-            idle = kept;
-
-            if fds[0].revents != 0 {
-                use std::io::Read;
-                let mut sponge = [0u8; 64];
-                while matches!((&*wake_rx).read(&mut sponge), Ok(n) if n > 0) {}
-                let mut back = returned.lock().expect("returned connections poisoned");
-                for conn in back.drain(..) {
-                    idle.push(IdleConn {
-                        stream: conn.stream,
-                        served: conn.served,
-                        last: Instant::now(),
-                    });
-                }
-            }
-
-            if accepting && fds[1].revents != 0 {
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _peer)) => {
-                            self.setup_stream(&stream);
-                            self.stats.conn_opened();
-                            // Into the idle set, not straight to a
-                            // handler: only a *readable* socket may cost
-                            // a handler thread.
-                            idle.push(IdleConn { stream, served: 0, last: Instant::now() });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(ServeError::internal("accept", e.to_string())),
-                    }
-                }
-            }
-        }
-        for _ in &idle {
-            self.stats.conn_closed();
-        }
-        Ok(())
-    }
-
-    /// The non-Unix fallback: a plain accept loop; keep-alive sockets
-    /// cycle through the handler queue and block a handler while idle
-    /// (bounded by the read timeout).
-    #[cfg(not(unix))]
-    fn accept_loop_basic(&self, stop: &AtomicBool, queue: &JobQueue) -> Result<(), ServeError> {
-        while !stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.setup_stream(&stream);
-                    self.stats.conn_opened();
-                    let (lock, cvar) = &**queue;
-                    lock.lock().expect("queue poisoned").push_back(Conn { stream, served: 0 });
-                    cvar.notify_one();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::internal("accept", e.to_string())),
             }
         }
         Ok(())
@@ -486,56 +283,8 @@ impl Server {
     }
 }
 
-/// The raw `poll(2)` binding — libc is already linked by `std`, the
-/// same trick `install_signal_handlers` uses for `signal`.
-#[cfg(all(unix, not(target_os = "linux")))]
-mod poll_ffi {
-    use std::io;
-
-    type NfdsT = std::os::raw::c_uint;
-
-    /// `struct pollfd` — identical layout on every supported Unix.
-    #[repr(C)]
-    #[derive(Clone, Copy, Debug)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    /// `POLLIN` — 0x001 on Linux, the BSDs and macOS alike.
-    pub const POLLIN: i16 = 0x001;
-
-    impl PollFd {
-        pub fn readable(fd: i32) -> PollFd {
-            PollFd { fd, events: POLLIN, revents: 0 }
-        }
-    }
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
-    }
-
-    /// Waits for readiness on `fds`, retrying on `EINTR`. `revents` is
-    /// filled in place; any non-zero value (readable, hung up, error)
-    /// means the fd deserves attention.
-    pub fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        loop {
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        }
-    }
-}
-
 /// Minimal `epoll` FFI — libc is already linked by `std`, the same
-/// trick `poll_ffi` and `install_signal_handlers` use.
-#[cfg(target_os = "linux")]
+/// trick [`Server::bind`] uses for `listen`.
 mod epoll_ffi {
     use std::io;
 
@@ -641,109 +390,66 @@ mod epoll_ffi {
     }
 }
 
-/// The parked-socket table at the heart of the Linux serving path: a
-/// shared oneshot epoll set plus the owned sockets it watches. The
-/// accept loop parks fresh connections, handlers wait on the set and
-/// claim what turns readable, and a finished handler re-parks the
-/// socket — one `epoll_ctl` each way, no dispatch thread in between.
-#[cfg(target_os = "linux")]
+/// The parked-socket table at the heart of the serving path: a shared
+/// oneshot epoll set plus the owned sockets it watches, each with the
+/// instant it was parked. The accept loop parks fresh connections,
+/// handlers wait on the set and claim what turns readable, and a
+/// finished handler re-parks the socket — one `epoll_ctl` each way, no
+/// dispatch thread in between. Every socket the table drops is counted
+/// closed.
 struct IdleTable {
     ep: epoll_ffi::Epoll,
-    idle: Mutex<std::collections::HashMap<i32, IdleConn>>,
+    idle: Mutex<HashMap<i32, (Conn, Instant)>>,
+    stats: ServeStats,
 }
 
-#[cfg(target_os = "linux")]
 impl IdleTable {
-    fn new() -> std::io::Result<IdleTable> {
-        Ok(IdleTable {
-            ep: epoll_ffi::Epoll::new()?,
-            idle: Mutex::new(std::collections::HashMap::new()),
-        })
+    fn new(stats: ServeStats) -> std::io::Result<IdleTable> {
+        Ok(IdleTable { ep: epoll_ffi::Epoll::new()?, idle: Mutex::new(HashMap::new()), stats })
     }
 
     /// Parks a socket: the table owns it and the epoll set watches it.
-    /// Returns false — dropping the socket — if the kernel refuses.
-    fn park(&self, conn: Conn) -> bool {
-        use std::os::fd::AsRawFd;
+    /// If the kernel refuses, the socket is dropped and counted closed.
+    fn park(&self, conn: Conn) {
         let fd = conn.stream.as_raw_fd();
         let mut idle = self.idle.lock().expect("idle table poisoned");
-        idle.insert(
-            fd,
-            IdleConn { stream: conn.stream, served: conn.served, last: Instant::now() },
-        );
+        idle.insert(fd, (conn, Instant::now()));
         if self.ep.add_oneshot(fd).is_err() {
             idle.remove(&fd);
-            return false;
+            self.stats.conn_closed();
         }
-        true
     }
 
     /// Claims a readable socket for a handler. `None` when a stale
     /// event races a socket the reaper already closed.
     fn take(&self, fd: i32) -> Option<Conn> {
-        let conn = self.idle.lock().expect("idle table poisoned").remove(&fd)?;
+        let (conn, _parked) = self.idle.lock().expect("idle table poisoned").remove(&fd)?;
         let _ = self.ep.del(fd);
-        Some(conn.into_job())
+        Some(conn)
     }
 
-    /// Closes every socket parked longer than `timeout`; returns how
-    /// many were reaped.
-    fn reap(&self, timeout: Duration) -> usize {
+    /// Closes every socket parked longer than `timeout`.
+    fn reap(&self, timeout: Duration) {
         let now = Instant::now();
-        let mut idle = self.idle.lock().expect("idle table poisoned");
-        let before = idle.len();
-        idle.retain(|fd, conn| {
-            if now.duration_since(conn.last) > timeout {
+        self.idle.lock().expect("idle table poisoned").retain(|fd, (_conn, parked)| {
+            if now.duration_since(*parked) > timeout {
                 let _ = self.ep.del(*fd);
+                self.stats.conn_closed();
                 false
             } else {
                 true
             }
         });
-        before - idle.len()
     }
 
-    /// Closes everything still parked; returns how many there were.
-    fn drain(&self) -> usize {
-        let mut idle = self.idle.lock().expect("idle table poisoned");
-        let drained = idle.len();
-        for (fd, _conn) in idle.drain() {
+    /// Closes everything still parked.
+    fn drain(&self) {
+        for (fd, _conn) in self.idle.lock().expect("idle table poisoned").drain() {
             let _ = self.ep.del(fd);
+            self.stats.conn_closed();
         }
-        drained
     }
 }
-
-/// Process-wide stop flag used by [`install_signal_handlers`].
-static SIGNAL_STOP: AtomicBool = AtomicBool::new(false);
-
-/// The stop flag [`install_signal_handlers`] trips — pass it to
-/// [`Server::run`] for a daemon that shuts down cleanly on SIGTERM.
-pub fn signal_stop_flag() -> &'static AtomicBool {
-    &SIGNAL_STOP
-}
-
-/// Installs SIGTERM/SIGINT handlers that trip [`signal_stop_flag`]
-/// (no-op off Unix). Both `rempd` and `rempctl serve` use this.
-#[cfg(unix)]
-pub fn install_signal_handlers() {
-    extern "C" fn request_stop(_signum: i32) {
-        SIGNAL_STOP.store(true, Ordering::SeqCst);
-    }
-    // libc is already linked by std; SIGTERM = 15, SIGINT = 2 on every
-    // Unix this builds for.
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-    unsafe {
-        signal(15, request_stop);
-        signal(2, request_stop);
-    }
-}
-
-/// No-op off Unix.
-#[cfg(not(unix))]
-pub fn install_signal_handlers() {}
 
 /// `Content-Type` of the Prometheus text exposition format `/metrics`
 /// answers with.
@@ -825,25 +531,6 @@ struct Conn {
     served: u64,
 }
 
-/// An idle keep-alive socket owned by the readiness loop.
-#[cfg(unix)]
-struct IdleConn {
-    stream: TcpStream,
-    served: u64,
-    last: Instant,
-}
-
-#[cfg(unix)]
-impl IdleConn {
-    fn into_job(self) -> Conn {
-        Conn { stream: self.stream, served: self.served }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-type JobQueue = Arc<(Mutex<VecDeque<Conn>>, Condvar)>;
-type ConnSink = Arc<dyn Fn(Conn) + Send + Sync>;
-
 /// What a handler decided to do with the socket when it finished.
 enum Disposition {
     /// Closed (by request, error, or protocol).
@@ -854,19 +541,15 @@ enum Disposition {
     Parked,
 }
 
-/// The Linux handler loop: wait on the shared oneshot epoll set — a
-/// readable parked socket wakes exactly one handler, which claims it
-/// from the table, serves it, and re-arms it via the sink. No dispatch
-/// thread, no queue: the hot path is epoll_wait → read → respond →
-/// epoll_ctl.
-#[cfg(target_os = "linux")]
+/// A handler thread: wait on the shared oneshot epoll set — a readable
+/// parked socket wakes exactly one handler, which claims it from the
+/// table, serves it, and re-parks it. No dispatch thread, no queue: the
+/// hot path is epoll_wait → read → respond → epoll_ctl.
 fn handler_worker(
     table: &IdleTable,
     done: &AtomicBool,
     registry: &Registry,
     dispatcher: &Dispatcher,
-    stats: &ServeStats,
-    sink: &ConnSink,
     max_wait_ms: u64,
 ) {
     let mut events = [epoll_ffi::Event::zeroed(); 16];
@@ -880,48 +563,11 @@ fn handler_worker(
             let Some(conn) = table.take(event.fd()) else {
                 continue;
             };
-            match service_conn(conn, registry, dispatcher, stats, max_wait_ms) {
-                Disposition::Close => stats.conn_closed(),
-                Disposition::KeepAlive(conn) => sink(conn),
+            match service_conn(conn, registry, dispatcher, &table.stats, max_wait_ms) {
+                Disposition::Close => table.stats.conn_closed(),
+                Disposition::KeepAlive(conn) => table.park(conn),
                 Disposition::Parked => {}
             }
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn handler_worker(
-    queue: &JobQueue,
-    done: &AtomicBool,
-    registry: &Registry,
-    dispatcher: &Dispatcher,
-    stats: &ServeStats,
-    sink: &ConnSink,
-    max_wait_ms: u64,
-) {
-    let (lock, cvar) = &**queue;
-    loop {
-        let conn = {
-            let mut q = lock.lock().expect("queue poisoned");
-            loop {
-                if let Some(conn) = q.pop_front() {
-                    break Some(conn);
-                }
-                if done.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _timeout) =
-                    cvar.wait_timeout(q, Duration::from_millis(100)).expect("queue poisoned");
-                q = guard;
-            }
-        };
-        let Some(conn) = conn else {
-            return;
-        };
-        match service_conn(conn, registry, dispatcher, stats, max_wait_ms) {
-            Disposition::Close => stats.conn_closed(),
-            Disposition::KeepAlive(conn) => sink(conn),
-            Disposition::Parked => {}
         }
     }
 }
@@ -950,7 +596,7 @@ fn service_conn(
                     _ => 400,
                 };
                 let err = ServeError { status, code: "bad_request", message: e.to_string() };
-                let _ = write_response(&mut writer, status, &err.to_json().to_string(), false);
+                write_json(&mut writer, Err(err), false, false);
                 record_request("", "malformed", status, None, started);
                 return Disposition::Close;
             }
@@ -965,7 +611,7 @@ fn service_conn(
         let campaign = router::campaign_in_path(&request.path).map(str::to_owned);
         let pretty = request.wants_pretty();
 
-        let written = match router::resolve(&request.method, &request.path) {
+        let (status, written) = match router::resolve(&request.method, &request.path) {
             Resolution::Matched { route, params } => match route.action {
                 Action::Metrics => {
                     // Text, not JSON — rendered here so the JSON writer
@@ -976,8 +622,7 @@ fn service_conn(
                     let ok =
                         write_response_typed(&mut writer, 200, METRICS_CONTENT_TYPE, &text, keep)
                             .is_ok();
-                    record_request(&method, label, 200, None, started);
-                    ok
+                    (200, ok)
                 }
                 Action::Json(handler) | Action::LongPoll(handler) => {
                     let campaign_id = params.first().map(|&p| p.to_owned());
@@ -1022,14 +667,7 @@ fn service_conn(
                             }
                         }
                     }
-                    let (status, doc) = match result {
-                        Ok((status, doc)) => (status, doc),
-                        Err(e) => (e.status, e.to_json()),
-                    };
-                    let body = if pretty { doc.to_pretty_string() } else { doc.to_string() };
-                    let ok = write_response(&mut writer, status, &body, keep).is_ok();
-                    record_request(&method, label, status, campaign.as_deref(), started);
-                    ok
+                    write_json(&mut writer, result, pretty, keep)
                 }
             },
             Resolution::NotFound => {
@@ -1037,25 +675,15 @@ fn service_conn(
                     "unknown_route",
                     format!("no route for {}", request.path),
                 );
-                let doc = err.to_json();
-                let body = if pretty { doc.to_pretty_string() } else { doc.to_string() };
-                let ok = write_response(&mut writer, err.status, &body, keep).is_ok();
-                record_request(&method, label, err.status, campaign.as_deref(), started);
-                ok
+                write_json(&mut writer, Err(err), pretty, keep)
             }
             Resolution::MethodNotAllowed => {
-                let err = ServeError {
-                    status: 405,
-                    code: "method_not_allowed",
-                    message: format!("method {method} is not supported"),
-                };
-                let doc = err.to_json();
-                let body = if pretty { doc.to_pretty_string() } else { doc.to_string() };
-                let ok = write_response(&mut writer, err.status, &body, keep).is_ok();
-                record_request(&method, label, err.status, campaign.as_deref(), started);
-                ok
+                let message = format!("method {method} is not supported");
+                let err = ServeError { status: 405, code: "method_not_allowed", message };
+                write_json(&mut writer, Err(err), pretty, keep)
             }
         };
+        record_request(&method, label, status, campaign.as_deref(), started);
         if !written || !keep {
             return Disposition::Close;
         }
@@ -1064,6 +692,20 @@ fn service_conn(
         }
         // Pipelined request already buffered: serve it now, in order.
     }
+}
+
+/// Encodes a handler's result (or its error) as a JSON response and
+/// writes it in one message. Returns the status sent and whether the
+/// write succeeded.
+fn write_json(
+    writer: &mut impl std::io::Write,
+    result: Result<(u16, Json), ServeError>,
+    pretty: bool,
+    keep: bool,
+) -> (u16, bool) {
+    let (status, doc) = result.unwrap_or_else(|e| (e.status, e.to_json()));
+    let body = if pretty { doc.to_pretty_string() } else { doc.to_string() };
+    (status, write_response(writer, status, &body, keep).is_ok())
 }
 
 /// `assignment` is null and the campaign is not complete — the long-poll
@@ -1122,12 +764,8 @@ impl Dispatcher {
 /// expiry is lazy, someone must ask). It re-polls every parked worker
 /// and answers those with an assignment, a terminal condition or an
 /// expired wait.
-fn dispatcher_loop(
-    dispatcher: &Dispatcher,
-    registry: &Registry,
-    stats: &ServeStats,
-    sink: &ConnSink,
-) {
+fn dispatcher_loop(dispatcher: &Dispatcher, registry: &Registry, table: &IdleTable) {
+    let stats = &table.stats;
     let mut seen = dispatcher.notifier.epoch();
     loop {
         let stopping = dispatcher.stop.load(Ordering::SeqCst);
@@ -1147,7 +785,7 @@ fn dispatcher_loop(
                 Err(_) => true, // paused, finished campaign, &c: the client should see it
             };
             if resolved || stopping || Instant::now() >= waiter.deadline {
-                respond_waiter(waiter, result, stats, sink);
+                respond_waiter(waiter, result, table);
                 dispatcher.notifier.waiter_released();
             } else {
                 still.push(waiter);
@@ -1182,25 +820,15 @@ fn dispatcher_loop(
 }
 
 /// Writes the response a parked long-poll was owed and routes the
-/// socket onward (back to the readiness loop, or closed).
-fn respond_waiter(
-    waiter: Waiter,
-    result: Result<Json, ServeError>,
-    stats: &ServeStats,
-    sink: &ConnSink,
-) {
+/// socket onward (re-parked in the idle table, or closed).
+fn respond_waiter(waiter: Waiter, result: Result<Json, ServeError>, table: &IdleTable) {
     let Waiter { mut stream, served, campaign, pretty, keep, started, .. } = waiter;
-    let (status, doc) = match result {
-        Ok(doc) => (200, doc),
-        Err(e) => (e.status, e.to_json()),
-    };
-    let body = if pretty { doc.to_pretty_string() } else { doc.to_string() };
-    let written = write_response(&mut stream, status, &body, keep).is_ok();
+    let (status, written) = write_json(&mut stream, result.map(|doc| (200, doc)), pretty, keep);
     record_request("GET", "/campaigns/{id}/next", status, Some(&campaign), started);
     if written && keep {
-        sink(Conn { stream, served });
+        table.park(Conn { stream, served });
     } else {
-        stats.conn_closed();
+        table.stats.conn_closed();
     }
 }
 

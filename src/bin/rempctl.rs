@@ -12,7 +12,7 @@
 //! crates.io access, consistent with the rest of the workspace).
 
 use std::collections::HashMap;
-use std::io::IsTerminal;
+use std::io::{IsTerminal, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,8 +34,8 @@ use remp_scale::{
     MergedOutcome, PlanMode, ScaleBenchOptions, ScaleSpec, DEFAULT_LEASE_MS,
 };
 use remp_serve::{
-    drive, install_signal_handlers, outcome_matches, reference_outcome, signal_stop_flag,
-    CrowdParams, CrowdPolicy, ServeClient, Server, ServerConfig, WireCrowd,
+    drive, outcome_matches, reference_outcome, CrowdParams, CrowdPolicy, ServeClient, Server,
+    ServerConfig, WireCrowd,
 };
 use remp_sim::{preset, preset_names, Scenario, SimReport};
 
@@ -70,12 +70,6 @@ USAGE:
                                 (default: auto — REMP_THREADS or all cores)
             --trace-out PATH    write a spans.jsonl stage trace of the
                                 campaign for offline timeline analysis
-
-    rempctl serve [--addr HOST:PORT] [--state-dir DIR] [--threads POLICY]
-        Run the campaign server (same daemon as the rempd binary):
-        hosts concurrent crowd campaigns over HTTP, checkpoints them
-        to --state-dir on SIGTERM/SIGINT and resumes them on restart.
-        See crates/serve/PROTOCOL.md for the wire protocol.
 
     rempctl drive --url HOST:PORT --kb1 PATH --kb2 PATH --gold PATH
                   [--campaign ID] [--name NAME] [--verify]
@@ -175,6 +169,29 @@ sets the stderr event-log level (default: warn).
 enum CliError {
     Usage(String),
     Failed(String),
+    /// Stdout's reader went away (`rempctl run ... | head -3`): the
+    /// command ends quietly, with exit status 0.
+    Closed,
+}
+
+impl CliError {
+    /// Classifies a failed write to stdout.
+    fn stdout(e: std::io::Error) -> CliError {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError::Closed
+        } else {
+            CliError::Failed(format!("writing to stdout: {e}"))
+        }
+    }
+}
+
+/// `println!` for command output, in a function returning
+/// `Result<_, CliError>`: a failed write returns [`CliError::stdout`]
+/// instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(CliError::stdout)?
+    };
 }
 
 impl<E: std::error::Error> From<E> for CliError {
@@ -186,7 +203,7 @@ impl<E: std::error::Error> From<E> for CliError {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
             eprintln!("rempctl: {msg}\n\n{USAGE}");
             ExitCode::from(2)
@@ -213,7 +230,6 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         cmd_run,
         "kb1 kb2 gold oracle workers quality per-question seed budget mu threads trace-out",
     ),
-    ("serve", cmd_serve, "addr state-dir threads"),
     (
         "drive",
         cmd_drive,
@@ -247,7 +263,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::Usage("no command given".into()));
     };
     if matches!(command.as_str(), "help" | "--help" | "-h") {
-        println!("{USAGE}");
+        out!("{USAGE}");
         return Ok(());
     }
     let Some(&(verb, run, accepted)) = COMMANDS.iter().find(|(verb, ..)| verb == command) else {
@@ -331,13 +347,13 @@ fn cmd_export(opts: &Opts) -> Result<(), CliError> {
     let started = Instant::now();
     let dataset = generate(&spec);
     let paths = export_dataset(&dataset, &out, format)?;
-    println!("exported {} (scale {scale}) in {:.1?}", dataset.name, started.elapsed());
-    println!("  {}", dataset.kb1.stats());
-    println!("  {}", dataset.kb2.stats());
-    println!("  {} gold matches", dataset.num_gold());
-    println!("  kb1:  {}", paths.kb1.display());
-    println!("  kb2:  {}", paths.kb2.display());
-    println!("  gold: {}", paths.gold.display());
+    out!("exported {} (scale {scale}) in {:.1?}", dataset.name, started.elapsed());
+    out!("  {}", dataset.kb1.stats());
+    out!("  {}", dataset.kb2.stats());
+    out!("  {} gold matches", dataset.num_gold());
+    out!("  kb1:  {}", paths.kb1.display());
+    out!("  kb2:  {}", paths.kb2.display());
+    out!("  gold: {}", paths.gold.display());
     Ok(())
 }
 
@@ -355,13 +371,13 @@ fn cmd_import(opts: &Opts) -> Result<(), CliError> {
     let parsed_in = started.elapsed();
     let started = Instant::now();
     write_snapshot(&loaded.kb, &loaded.external_ids, Path::new(output))?;
-    println!(
+    out!(
         "parsed {} in {parsed_in:.1?}, snapshot written in {:.1?}",
         input.display(),
         started.elapsed()
     );
-    println!("  {}", loaded.kb.stats());
-    println!("  {output}");
+    out!("  {}", loaded.kb.stats());
+    out!("  {output}");
     Ok(())
 }
 
@@ -377,12 +393,12 @@ fn cmd_inspect(opts: &Opts) -> Result<(), CliError> {
         // memory, without materialising the KB.
         if path.extension().is_some_and(|e| e == "rkb") {
             let stats = snapshot_stats(path)?;
-            println!("{} (streamed in {:.1?})", path.display(), started.elapsed());
-            println!("  {stats}");
+            out!("{} (streamed in {:.1?})", path.display(), started.elapsed());
+            out!("  {stats}");
         } else {
             let loaded = load_kb(path, &default_name(path))?;
-            println!("{} (loaded in {:.1?})", path.display(), started.elapsed());
-            println!("  {}", loaded.kb.stats());
+            out!("{} (loaded in {:.1?})", path.display(), started.elapsed());
+            out!("  {}", loaded.kb.stats());
         }
     }
     Ok(())
@@ -395,10 +411,10 @@ fn cmd_run(opts: &Opts) -> Result<(), CliError> {
 
     let started = Instant::now();
     let dataset = FileDataset::load("file-backed", kb1, kb2, gold)?.into_generated();
-    println!("loaded campaign in {:.1?}", started.elapsed());
-    println!("  {}", dataset.kb1.stats());
-    println!("  {}", dataset.kb2.stats());
-    println!("  {} gold matches", dataset.gold.len());
+    out!("loaded campaign in {:.1?}", started.elapsed());
+    out!("  {}", dataset.kb1.stats());
+    out!("  {}", dataset.kb2.stats());
+    out!("  {} gold matches", dataset.gold.len());
 
     let mut config = RempConfig::default();
     if let Some(budget) = opts.get("budget") {
@@ -450,16 +466,16 @@ fn cmd_run(opts: &Opts) -> Result<(), CliError> {
     let trace_out = trace_out_begin(opts);
     let started = Instant::now();
     let result = run_on_dataset(&dataset, &config, crowd.as_mut());
-    println!("campaign finished in {:.1?}", started.elapsed());
-    println!("  questions asked : {} ({} labels)", result.questions, crowd.labels_collected());
-    println!("  loops           : {}", result.loops);
-    println!(
+    out!("campaign finished in {:.1?}", started.elapsed());
+    out!("  questions asked : {} ({} labels)", result.questions, crowd.labels_collected());
+    out!("  loops           : {}", result.loops);
+    out!(
         "  precision {:.1}%  recall {:.1}%  F1 {:.1}%",
         100.0 * result.eval.precision,
         100.0 * result.eval.recall,
         100.0 * result.eval.f1
     );
-    print_loop_stats(&result.loop_stats);
+    print_loop_stats(&result.loop_stats)?;
     if let Some(path) = trace_out {
         trace_out_finish(path)?;
     }
@@ -481,24 +497,24 @@ fn trace_out_begin(opts: &Opts) -> Option<&str> {
 fn trace_out_finish(path: &str) -> Result<(), CliError> {
     let spans = remp_obs::trace_take();
     std::fs::write(path, remp_obs::spans_to_jsonl(&spans))?;
-    println!("  wrote {} spans to {path}", spans.len());
+    out!("  wrote {} spans to {path}", spans.len());
     Ok(())
 }
 
 /// Where the campaign's compute time went: stage-2/3 totals plus how much
 /// of the graph the incremental engine actually touched per loop.
-fn print_loop_stats(stats: &[remp_core::LoopStat]) {
-    let Some(first) = stats.first() else { return };
+fn print_loop_stats(stats: &[remp_core::LoopStat]) -> Result<(), CliError> {
+    let Some(first) = stats.first() else { return Ok(()) };
     let total: f64 = stats.iter().map(|s| s.total_s()).sum();
     let consistency: f64 = stats.iter().map(|s| s.refresh.consistency_s).sum();
     let propagation: f64 = stats.iter().map(|s| s.refresh.propagation_s).sum();
     let inferred: f64 = stats.iter().map(|s| s.refresh.inferred_s).sum();
     let selection: f64 = stats.iter().map(|s| s.selection_s).sum();
-    println!(
+    out!(
         "  stage 2+3       : {total:.2}s total (consistency {consistency:.2}s, \
          propagation {propagation:.2}s, inferred sets {inferred:.2}s, selection {selection:.2}s)"
     );
-    println!(
+    out!(
         "  first loop      : {:.3}s full build ({} vertices, {} sources)",
         first.total_s(),
         first.refresh.dirty_vertices,
@@ -514,39 +530,12 @@ fn print_loop_stats(stats: &[remp_core::LoopStat]) {
         let mean_settled =
             tail.iter().map(|s| s.refresh.settled_vertices).sum::<usize>() / tail.len();
         let retired = stats.last().map(|s| s.refresh.retired_components).unwrap_or(0);
-        println!(
+        out!(
             "  later loops     : {mean_s:.3}s avg incremental (avg {mean_vertices} dirty \
              vertices, {mean_sources} sources settling {mean_settled} vertices; \
              {retired} components retired at the end)"
         );
     }
-}
-
-fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
-    let mut config = ServerConfig::default();
-    if let Some(addr) = opts.get("addr") {
-        config.addr = addr.to_owned();
-    }
-    if let Some(dir) = opts.get("state-dir") {
-        config.state_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(threads) = opts.get("threads") {
-        config.parallelism = Parallelism::from_label(threads)
-            .ok_or_else(|| CliError::Usage(format!("--threads: unknown policy {threads:?}")))?;
-    }
-    install_signal_handlers();
-    let server = Server::bind(&config).map_err(|e| CliError::Failed(e.to_string()))?;
-    let resumed = server.registry().list();
-    println!("rempctl serve: listening on http://{}", server.local_addr());
-    match &config.state_dir {
-        Some(dir) => println!("  state directory: {}", dir.display()),
-        None => println!("  no durable state (--state-dir to enable)"),
-    }
-    for (id, name) in resumed {
-        println!("  resumed campaign {id} ({name})");
-    }
-    let saved = server.run(signal_stop_flag()).map_err(|e| CliError::Failed(e.to_string()))?;
-    println!("rempctl serve: shut down cleanly; {saved} campaign(s) checkpointed");
     Ok(())
 }
 
@@ -571,7 +560,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
     // truth the simulated workers answer from.
     let started = Instant::now();
     let dataset = FileDataset::load("drive", Path::new(&kb1), Path::new(&kb2), gold)?;
-    println!(
+    out!(
         "loaded local gold standard in {:.1?} ({} matches)",
         started.elapsed(),
         dataset.num_gold()
@@ -619,7 +608,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
                 .to_owned()
         }
     };
-    println!("driving campaign {campaign} on http://{}", client.addr());
+    out!("driving campaign {campaign} on http://{}", client.addr());
 
     let started = Instant::now();
     let mut crowd = WireCrowd::new(&params);
@@ -629,12 +618,12 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
     let outcome_doc = client
         .get(&format!("/campaigns/{campaign}/outcome"))
         .map_err(|e| CliError::Failed(e.to_string()))?;
-    println!("campaign completed over the wire in {:.1?}", started.elapsed());
-    println!("  questions answered : {}", driven.len());
+    out!("campaign completed over the wire in {:.1?}", started.elapsed());
+    out!("  questions answered : {}", driven.len());
 
     let matches = decode_matches(&outcome_doc)?;
     let eval = evaluate_matches(matches.iter().copied(), &dataset.gold);
-    println!(
+    out!(
         "  precision {:.1}%  recall {:.1}%  F1 {:.1}%",
         100.0 * eval.precision,
         100.0 * eval.recall,
@@ -647,7 +636,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
         .map_err(|e| CliError::Failed(e.to_string()))?;
     if let Some(leases) = status.get("leases") {
         let n = |key: &str| leases.get(key).and_then(Json::as_u64).unwrap_or(0);
-        println!(
+        out!(
             "  leases          : {} issued, {} expired, {} re-issued",
             n("issued"),
             n("expired"),
@@ -656,7 +645,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
     }
     if let Some(quality) = status.get("worker_quality") {
         let f = |key: &str| quality.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        println!(
+        out!(
             "  worker quality  : {} workers, estimates {:.3} min / {:.3} mean / {:.3} max",
             quality.get("count").and_then(Json::as_u64).unwrap_or(0),
             f("min"),
@@ -684,7 +673,7 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
                 "HTTP campaign diverged from the in-process run: {divergence}"
             ))
         })?;
-        println!(
+        out!(
             "  VERIFIED in {:.1?}: wire outcome is bit-identical to the in-process session run",
             started.elapsed()
         );
@@ -694,9 +683,9 @@ fn cmd_drive(opts: &Opts) -> Result<(), CliError> {
 
 fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
     if opts.get("list").is_some() {
-        println!("built-in scenario presets (rempctl simulate NAME):");
+        out!("built-in scenario presets (rempctl simulate NAME):");
         for name in preset_names() {
-            println!("  {name}");
+            out!("  {name}");
         }
         return Ok(());
     }
@@ -737,13 +726,13 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
     let started = Instant::now();
     let report = remp_sim::run_scenario_with(&scenario, parallelism)
         .map_err(|e| CliError::Failed(e.to_string()))?;
-    println!(
+    out!(
         "simulated scenario {:?} (seed {}) in {:.1?}",
         report.scenario,
         report.seed,
         started.elapsed()
     );
-    print_sim_report(&report);
+    print_sim_report(&report)?;
 
     if let Some(path) = opts.get("trace") {
         let mut lines = String::new();
@@ -752,11 +741,11 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
             lines.push('\n');
         }
         std::fs::write(path, lines)?;
-        println!("  wrote trace to {path} ({} events)", report.trace.len());
+        out!("  wrote trace to {path} ({} events)", report.trace.len());
     }
     if let Some(out) = opts.get("out") {
         std::fs::write(out, report.to_json(false).to_pretty_string())?;
-        println!("  wrote report to {out}");
+        out!("  wrote report to {out}");
     }
 
     // CI gates: turn robustness expectations into exit codes.
@@ -791,8 +780,8 @@ fn cmd_simulate(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-fn print_sim_report(report: &SimReport) {
-    println!(
+fn print_sim_report(report: &SimReport) -> Result<(), CliError> {
+    out!(
         "  outcome         : {} ({} ticks, {} loops, {} questions)",
         if report.complete {
             "complete"
@@ -805,7 +794,7 @@ fn print_sim_report(report: &SimReport) {
         report.loops,
         report.questions_asked
     );
-    println!(
+    out!(
         "  crowd           : {} workers ({} arrived, {} left); answers {} delivered, \
          {} rejected, {} dropped",
         report.workers_total,
@@ -815,23 +804,26 @@ fn print_sim_report(report: &SimReport) {
         report.answers_rejected,
         report.answers_dropped
     );
-    println!(
+    out!(
         "  leases          : {} issued, {} expired, {} re-issued",
-        report.leases.issued, report.leases.expired, report.leases.reissued
+        report.leases.issued,
+        report.leases.expired,
+        report.leases.reissued
     );
-    println!(
+    out!(
         "  precision {:.1}%  recall {:.1}%  F1 {:.1}%",
         100.0 * report.eval.precision,
         100.0 * report.eval.recall,
         100.0 * report.eval.f1
     );
     if let Some(err) = report.estimator.honest_mean_abs_error {
-        println!("  estimator       : mean |estimate - truth| = {err:.3} over honest workers");
+        out!("  estimator       : mean |estimate - truth| = {err:.3} over honest workers");
     }
     if let Some(max) = report.estimator.adversary_max_estimate {
-        println!("  estimator       : highest adversary estimate {max:.3}");
+        out!("  estimator       : highest adversary estimate {max:.3}");
     }
-    println!("  trace           : {} events, hash {:016x}", report.trace.len(), report.trace_hash);
+    out!("  trace           : {} events, hash {:016x}", report.trace.len(), report.trace_hash);
+    Ok(())
 }
 
 fn cmd_simulate_sweep(sweep: &str, seed: u64, opts: &Opts) -> Result<(), CliError> {
@@ -854,23 +846,23 @@ fn cmd_simulate_sweep(sweep: &str, seed: u64, opts: &Opts) -> Result<(), CliErro
             )))
         }
     };
-    println!("robustness sweep {sweep:?} (seed {seed}) finished in {:.1?}", started.elapsed());
+    out!("robustness sweep {sweep:?} (seed {seed}) finished in {:.1?}", started.elapsed());
     for (key, label, x_key) in [
         ("spam_curve", "F1 vs spam rate", "spam_fraction"),
         ("churn_curve", "cost vs churn", "churn_fraction"),
     ] {
         let Some(points) = doc.get(key).and_then(Json::as_array) else { continue };
-        println!("  {label}:");
+        out!("  {label}:");
         for point in points {
             let x = point.get(x_key).and_then(Json::as_f64).unwrap_or(f64::NAN);
             let f1 = point.get("f1").and_then(Json::as_f64).unwrap_or(f64::NAN);
             let answers = point.get("answers").and_then(Json::as_u64).unwrap_or(0);
-            println!("    {x:>5.2}  F1 {:>5.1}%  {answers} answers", 100.0 * f1);
+            out!("    {x:>5.2}  F1 {:>5.1}%  {answers} answers", 100.0 * f1);
         }
     }
     let out = opts.get("out").unwrap_or("ROBUSTNESS.json");
     std::fs::write(out, doc.to_pretty_string())?;
-    println!("  wrote {out}");
+    out!("  wrote {out}");
     Ok(())
 }
 
@@ -934,11 +926,11 @@ fn cmd_top(opts: &Opts) -> Result<(), CliError> {
         let health = client.get("/healthz").map_err(|e| CliError::Failed(e.to_string()))?;
         if clear_screen {
             // Home the cursor and wipe the previous frame.
-            print!("\x1b[H\x1b[2J");
+            write!(std::io::stdout(), "\x1b[H\x1b[2J").map_err(CliError::stdout)?;
         } else if round > 1 {
-            println!();
+            out!();
         }
-        print_top(client.addr(), &expo, &health);
+        print_top(client.addr(), &expo, &health)?;
         if iterations != 0 && round >= iterations {
             break;
         }
@@ -948,7 +940,7 @@ fn cmd_top(opts: &Opts) -> Result<(), CliError> {
 }
 
 /// One `top` frame: server header, per-campaign table, hottest stages.
-fn print_top(addr: &str, expo: &Exposition, health: &Json) {
+fn print_top(addr: &str, expo: &Exposition, health: &Json) -> Result<(), CliError> {
     let version = health.get("version").and_then(Json::as_str).unwrap_or("?");
     let uptime = health.get("uptime_s").and_then(Json::as_f64).unwrap_or(0.0);
     let series = health.get("metric_series").and_then(Json::as_u64).unwrap_or(0);
@@ -960,7 +952,7 @@ fn print_top(addr: &str, expo: &Exposition, health: &Json) {
         Some(bytes) => format!(" · peak rss {:.0} MiB", bytes / (1024.0 * 1024.0)),
         None => String::new(),
     };
-    println!(
+    out!(
         "rempd {version} on {addr} · up {uptime:.0}s · {:.0} requests \
          (p50 {} / p99 {}) · {series} metric series{peak_rss}",
         expo.total(names::HTTP_REQUESTS_TOTAL),
@@ -971,7 +963,7 @@ fn print_top(addr: &str, expo: &Exposition, health: &Json) {
     // Serving pressure, straight from /healthz: open sockets, how many
     // of them are parked long-polls, and un-compacted answer WAL.
     let pressure = |key: &str| health.get(key).and_then(Json::as_u64).unwrap_or(0);
-    println!(
+    out!(
         "  serving: {} connections open · {} long-poll waiters · {} WAL bytes · \
          {:.0} keep-alive reuses",
         pressure("connections_open"),
@@ -990,16 +982,22 @@ fn print_top(addr: &str, expo: &Exposition, health: &Json) {
     ids.sort_unstable();
     ids.dedup();
     if ids.is_empty() {
-        println!("  no campaigns (or the server runs with REMP_OBS=0)");
+        out!("  no campaigns (or the server runs with REMP_OBS=0)");
     } else {
-        println!(
+        out!(
             "  {:<20} {:>6} {:>7} {:>8} {:>8} {:>8} {:>9}  STATE",
-            "CAMPAIGN", "OPEN", "ASKED", "WORKERS", "ISSUED", "EXPIRED", "REISSUED"
+            "CAMPAIGN",
+            "OPEN",
+            "ASKED",
+            "WORKERS",
+            "ISSUED",
+            "EXPIRED",
+            "REISSUED"
         );
         for id in ids {
             let val = |name: &str| expo.value(name, &[("campaign", id)]).unwrap_or(0.0);
             let state = if val(names::CAMPAIGN_COMPLETE) >= 1.0 { "complete" } else { "running" };
-            println!(
+            out!(
                 "  {:<20} {:>6.0} {:>7.0} {:>8.0} {:>8.0} {:>8.0} {:>9.0}  {state}",
                 id,
                 val(names::CAMPAIGN_OPEN_QUESTIONS),
@@ -1027,17 +1025,18 @@ fn print_top(addr: &str, expo: &Exposition, health: &Json) {
         .collect();
     stages.sort_by(|a, b| b.1.total_cmp(&a.1));
     if !stages.is_empty() {
-        println!("  hottest stages:");
+        out!("  hottest stages:");
         for (stage, total_s, calls) in stages.iter().take(5) {
-            println!("    {stage:<20} {total_s:>9.3}s over {calls:>6.0} calls");
+            out!("    {stage:<20} {total_s:>9.3}s over {calls:>6.0} calls");
         }
     }
+    Ok(())
 }
 
 fn cmd_metrics(opts: &Opts) -> Result<(), CliError> {
     let client = ServeClient::new(opts.required("url")?);
     let expo = scrape_metrics(&client)?;
-    println!(
+    out!(
         "scraped http://{}/metrics: {} samples across {} typed families",
         client.addr(),
         expo.samples.len(),
@@ -1054,7 +1053,7 @@ fn cmd_metrics(opts: &Opts) -> Result<(), CliError> {
                 missing.join(", ")
             )));
         }
-        println!("  all {} required families present", required.len());
+        out!("  all {} required families present", required.len());
     }
     Ok(())
 }
@@ -1078,21 +1077,23 @@ fn cmd_scale_gen(opts: &Opts) -> Result<(), CliError> {
 
     let started = Instant::now();
     let report = generate_dataset(&spec, &out)?;
-    println!(
+    out!(
         "generated {} entities per KB in {:.1?} (seed {}, vocab {})",
         report.entities,
         started.elapsed(),
         spec.seed,
         spec.effective_vocab()
     );
-    println!(
+    out!(
         "  {} gold pairs; {} + {} relationship triples",
-        report.gold_pairs, report.rel_triples.0, report.rel_triples.1
+        report.gold_pairs,
+        report.rel_triples.0,
+        report.rel_triples.1
     );
     for name in ["kb1.rkb", "kb2.rkb", "gold.tsv"] {
         let path = out.join(name);
         let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        println!("  {} ({:.1} MiB)", path.display(), bytes as f64 / (1024.0 * 1024.0));
+        out!("  {} ({:.1} MiB)", path.display(), bytes as f64 / (1024.0 * 1024.0));
     }
     Ok(())
 }
@@ -1113,7 +1114,7 @@ fn cmd_scale_plan(opts: &Opts) -> Result<(), CliError> {
     let gold = load_gold(&gold_path, &ids1, &ids2)?;
     drop(ids1);
     drop(ids2);
-    println!(
+    out!(
         "loaded {} + {} entities, {} gold pairs in {:.1?}",
         kb1.kb.num_entities(),
         kb2.kb.num_entities(),
@@ -1148,17 +1149,19 @@ fn cmd_scale_plan(opts: &Opts) -> Result<(), CliError> {
     let started = Instant::now();
     let manifest =
         write_campaign(&dir, &name, &kb1, &kb2, &gold, &config, &crowd, seed, &mode, shards)?;
-    println!(
+    out!(
         "planned {} shard(s) in {:.1?} ({} mode)",
         manifest.shards.len(),
         started.elapsed(),
         manifest.mode
     );
-    println!(
+    out!(
         "  {} candidate pairs scored, {} retained into shards, {} gold pairs",
-        manifest.candidate_count, manifest.pairs_total, manifest.gold_total
+        manifest.candidate_count,
+        manifest.pairs_total,
+        manifest.gold_total
     );
-    println!("  {}", dir.join("campaign.json").display());
+    out!("  {}", dir.join("campaign.json").display());
     Ok(())
 }
 
@@ -1172,36 +1175,42 @@ fn cmd_scale_run(opts: &Opts) -> Result<(), CliError> {
     } else {
         run_sharded_processes(&dir, workers, opts)?
     };
-    println!(
+    out!(
         "campaign {} merged in {:.1?} ({} shards)",
         merged.campaign,
         started.elapsed(),
         merged.shards
     );
-    print_merged(&merged);
+    print_merged(&merged)?;
     if let Some(path) = opts.get("out") {
         std::fs::write(path, merged.to_json().to_pretty_string())?;
-        println!("  wrote {path}");
+        out!("  wrote {path}");
     }
     Ok(())
 }
 
-fn print_merged(m: &MergedOutcome) {
-    println!(
+fn print_merged(m: &MergedOutcome) -> Result<(), CliError> {
+    out!(
         "  {} candidate pairs, {} matches ({} of {} gold)",
-        m.pairs_total, m.matches_total, m.gold_matched, m.gold_total
+        m.pairs_total,
+        m.matches_total,
+        m.gold_matched,
+        m.gold_total
     );
-    println!("  {} questions over {} loops", m.questions_total, m.loops_total);
-    println!(
+    out!("  {} questions over {} loops", m.questions_total, m.loops_total);
+    out!(
         "  precision {:.1}%  recall {:.1}%  F1 {:.1}%",
         100.0 * m.precision,
         100.0 * m.recall,
         100.0 * m.f1
     );
-    println!(
+    out!(
         "  digests: outcome {:016x}, transcript {:016x}, eval {:016x}",
-        m.outcome_digest, m.transcript_digest, m.eval_digest
+        m.outcome_digest,
+        m.transcript_digest,
+        m.eval_digest
     );
+    Ok(())
 }
 
 /// The multi-process path: an embedded coordinator (or the rempd at
@@ -1252,7 +1261,7 @@ fn run_sharded_processes(
             .ok_or_else(|| CliError::Failed("coordinator did not return a job id".into()))?
             .to_owned();
         let total = created.get("total").and_then(Json::as_u64).unwrap_or(0);
-        println!(
+        out!(
             "coordinating job {job} on http://{addr}: {total} shard(s), \
              {workers} worker process(es)"
         );
@@ -1350,7 +1359,7 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
             .post(&format!("/scale/jobs/{job}/result"), &result.to_json())
             .map_err(|e| CliError::Failed(e.to_string()))?;
         processed += 1;
-        println!(
+        out!(
             "[{worker}] shard {shard}: {} pairs, {} questions in {:.1?} (accepted: {})",
             result.pairs,
             result.questions_asked,
@@ -1358,7 +1367,7 @@ fn cmd_shard_worker(opts: &Opts) -> Result<(), CliError> {
             ack.get("accepted").and_then(Json::as_bool).unwrap_or(false)
         );
     }
-    println!("[{worker}] done ({processed} shard(s) processed)");
+    out!("[{worker}] done ({processed} shard(s) processed)");
     Ok(())
 }
 
@@ -1393,13 +1402,13 @@ fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
 
     let started = Instant::now();
     let report = run_scale_bench(&options).map_err(CliError::Failed)?;
-    println!("scale bench finished in {:.1?}", started.elapsed());
+    out!("scale bench finished in {:.1?}", started.elapsed());
     for p in &report.points {
         let rss = match p.peak_rss_bytes {
             Some(bytes) => format!("{:.0} MiB", bytes as f64 / (1024.0 * 1024.0)),
             None => "unreadable".to_owned(),
         };
-        println!(
+        out!(
             "  {:>9} entities: {:>9} pairs / {:>3} shards; gen {:.1}s, plan {:.1}s, \
              run {:.1}s; {} questions, F1 {:.3}; peak rss {rss}",
             p.entities,
@@ -1413,14 +1422,14 @@ fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
         );
     }
     std::fs::write(out, report.to_json().to_pretty_string())?;
-    println!("  wrote {out}");
+    out!("  wrote {out}");
     if let Some(mb) = options.max_rss_mb {
         if !report.rss_ok {
             return Err(CliError::Failed(format!(
                 "peak RSS exceeded the {mb} MiB bound (see {out})"
             )));
         }
-        println!("  bounded-RSS gate passed (every point <= {mb} MiB)");
+        out!("  bounded-RSS gate passed (every point <= {mb} MiB)");
     }
     Ok(())
 }

@@ -132,3 +132,21 @@ fn run_refuses_an_unknown_option() {
     assert!(stderr.contains("--budgt"), "the error must name the option:\n{stderr}");
     assert!(run.stdout.is_empty(), "a refused run started a campaign");
 }
+
+/// A reader that goes away (`rempctl ... | head -3`) ends `rempctl`
+/// quietly: exit 0 and nothing on stderr, not a broken-pipe panic. The
+/// pipe's read end is closed before the spawn, so the first write
+/// already fails.
+#[test]
+fn closed_stdout_ends_rempctl_quietly() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_rempctl"))
+        .args(["simulate", "--list"])
+        .stdout(writer)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "a closed stdout must end quietly, got:\n{stderr}");
+    assert!(stderr.is_empty(), "a closed stdout must leave stderr empty:\n{stderr}");
+}

@@ -679,7 +679,6 @@ fn long_poll_returns_the_empty_answer_after_the_wait_expires() {
     server.shutdown();
 }
 
-#[cfg(unix)]
 #[test]
 fn idle_connections_time_out_without_consuming_a_handler() {
     use std::io::Read;
@@ -713,6 +712,174 @@ fn idle_connections_time_out_without_consuming_a_handler() {
         let n = socket.read(&mut buf);
         assert!(matches!(n, Ok(0)), "idle socket must be closed by the server, got {n:?}");
     }
+    server.shutdown();
+}
+
+/// Reads one HTTP response from `reader`: the head up to the blank line,
+/// then a `content-length` body. Returns (head, body).
+fn read_one_response(reader: &mut impl std::io::BufRead) -> std::io::Result<(String, String)> {
+    let mut head = String::new();
+    loop {
+        let before = head.len();
+        if reader.read_line(&mut head)? == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        if head[before..] == *"\r\n" {
+            break;
+        }
+    }
+    let length = head
+        .lines()
+        .find_map(|line| {
+            line.to_ascii_lowercase().strip_prefix("content-length:")?.trim().parse().ok()
+        })
+        .unwrap_or(0);
+    let mut body = vec![0u8; length];
+    reader.read_exact(&mut body)?;
+    Ok((head, String::from_utf8(body).expect("UTF-8 body")))
+}
+
+/// `ServerConfig::read_timeout` bounds a client that stalls mid-request:
+/// with both handlers holding half a request line, a third client's
+/// `/healthz` is still answered once the timeout frees them, and each
+/// stalled socket ends (400 or EOF) instead of pinning its handler.
+#[test]
+fn stalled_requests_end_at_the_read_timeout() {
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    use remp::par::Parallelism;
+
+    let server = TestServer::start_config(ServerConfig {
+        parallelism: Parallelism::Fixed(2),
+        read_timeout: Duration::from_millis(300),
+        ..ServerConfig::default()
+    });
+    // One at a time, so each half-written request is claimed by its own
+    // handler wake-up and both handlers end up holding one.
+    let stallers: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut socket = TcpStream::connect(server.client.addr()).expect("connect a staller");
+            socket.write_all(b"GET /healthz HT").unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            socket
+        })
+        .collect();
+
+    let t0 = Instant::now();
+    let mut socket = TcpStream::connect(server.client.addr()).expect("connect");
+    socket.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    socket.write_all(b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n").unwrap();
+    let (head, body) = read_one_response(&mut BufReader::new(&socket))
+        .expect("stalled clients must not hold the handlers past the read timeout");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    assert!(body.contains("\"ok\""), "{body}");
+    assert!(t0.elapsed() < Duration::from_secs(5));
+
+    for mut staller in stallers {
+        staller.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut response = Vec::new();
+        let ended = staller.read_to_end(&mut response);
+        let response = String::from_utf8_lossy(&response);
+        assert!(
+            ended.is_ok() && (response.is_empty() || response.starts_with("HTTP/1.1 400 ")),
+            "a stalled socket must end with a 400 or EOF, got {ended:?}: {response}"
+        );
+    }
+    server.shutdown();
+}
+
+/// `ServerConfig::max_connections` is backpressure: at the cap the
+/// listener stops accepting, so a further client waits unanswered while
+/// the held sockets stay open, and is served as soon as one closes.
+#[test]
+fn the_connection_cap_holds_new_clients_until_a_socket_closes() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    // A cap of 1 is clamped to 8.
+    const CAP: u64 = 8;
+    let server =
+        TestServer::start_config(ServerConfig { max_connections: 1, ..ServerConfig::default() });
+    let open = || {
+        let health = server.client.get("/healthz").expect("healthz");
+        health.get("connections_open").and_then(Json::as_u64).expect("connections_open")
+    };
+    // The test client's own keep-alive socket counts against the cap.
+    let baseline = open();
+    let mut idlers: Vec<TcpStream> = (baseline..CAP)
+        .map(|_| TcpStream::connect(server.client.addr()).expect("connect an idle socket"))
+        .collect();
+    let t0 = Instant::now();
+    while open() < CAP {
+        assert!(t0.elapsed() < Duration::from_secs(5), "the idle sockets were never accepted");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(open(), CAP);
+    // Let the accept loop see the cap before the next client knocks.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let mut further = TcpStream::connect(server.client.addr()).expect("connect past the cap");
+    further.write_all(b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n").unwrap();
+    further.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
+    let mut reader = BufReader::new(further.try_clone().unwrap());
+    let early = read_one_response(&mut reader);
+    assert!(
+        early.as_ref().is_err_and(|e| matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        )),
+        "a client past the cap must wait while the idle sockets stay open, got {early:?}"
+    );
+
+    drop(idlers.pop());
+    further.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let t1 = Instant::now();
+    let (head, _body) =
+        read_one_response(&mut reader).expect("a closed socket must make room for the next client");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    assert!(t1.elapsed() < Duration::from_secs(2), "answered only after {:?}", t1.elapsed());
+    server.shutdown();
+}
+
+/// Pipelined requests are answered in order, and a long-poll never
+/// parks while a request is already buffered behind it: the `/next`
+/// that would wait 2 s answers at once so the `/healthz` behind it is
+/// not held up (or lost with the parked socket's read buffer).
+#[test]
+fn pipelined_requests_are_answered_in_order_without_parking() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    let server = TestServer::start(None);
+    let id = create_preset_campaign(&server.client, 1, "pipelined");
+    assert!(!lease_everything(&server, &id).is_empty());
+
+    let mut socket = TcpStream::connect(server.client.addr()).expect("connect");
+    socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let requests = format!(
+        "GET /campaigns/{id}/next?worker=w&wait_ms=2000 HTTP/1.1\r\nhost: test\r\n\r\n\
+         GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n"
+    );
+    let t0 = Instant::now();
+    socket.write_all(requests.as_bytes()).unwrap();
+    let mut reader = BufReader::new(&socket);
+    let (head, body) = read_one_response(&mut reader).expect("the /next response");
+    let first_after = t0.elapsed();
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    let next = Json::parse(&body).expect("JSON /next body");
+    assert!(matches!(next.get("assignment"), Some(Json::Null)), "nothing is assignable: {next}");
+    assert!(
+        first_after < Duration::from_secs(1),
+        "a long-poll with a pipelined request behind it must answer at once, took {first_after:?}"
+    );
+    let (head, body) = read_one_response(&mut reader).expect("the pipelined /healthz response");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    let health = Json::parse(&body).expect("JSON /healthz body");
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"), "{health}");
     server.shutdown();
 }
 
