@@ -77,6 +77,8 @@ pub mod names {
     /// Counter: garbage collections of the probabilistic ER graph's
     /// edge arena.
     pub const PG_ARENA_COMPACTIONS_TOTAL: &str = "remp_pg_arena_compactions_total";
+    /// Gauge: persistent helper threads the `remp-par` pool has spawned.
+    pub const PAR_HELPER_THREADS: &str = "remp_par_helper_threads";
     /// Counter: crowd questions created by sessions.
     pub const QUESTIONS_ASKED_TOTAL: &str = "remp_questions_asked_total";
     /// Counter: answer sets submitted into sessions (completed

@@ -4,9 +4,9 @@
 //! computation, partial-order pruning, per-source propagation and batch
 //! scoring — are all *embarrassingly parallel*: independent per-item
 //! computations over a slice whose results are only combined at the end.
-//! This crate gives them one shared execution primitive built purely on
-//! [`std::thread::scope`] (the build environment has no crates.io access,
-//! so no rayon):
+//! This crate gives them one shared execution primitive on a
+//! process-wide pool of persistent helper threads (the build environment
+//! has no crates.io access, so no rayon):
 //!
 //! * [`Parallelism`] — the execution policy. [`Parallelism::Sequential`]
 //!   runs everything inline (reproducibility tests, debugging),
@@ -22,12 +22,36 @@
 //!   matches, metrics and question order (`tests/parallel_equivalence.rs`
 //!   asserts it on every dataset preset).
 //!
-//! Worker panics propagate to the caller with their original payload;
-//! nested use (a `par_map` inside a `par_map` worker) is safe because
-//! every call owns its scope and its workers.
+//! # The pool
+//!
+//! A crowd campaign is many short rounds, each a handful of `par_map`
+//! calls, so a call must not pay for spawning and joining threads (nor
+//! leave a fresh thread's malloc arena behind every time). The calling
+//! thread works on its own job: it posts the job, then pulls chunks from
+//! the same atomic counter as any helper that joins, so `Fixed(n)` uses
+//! the caller plus at most `n − 1` helpers. Helpers are spawned lazily,
+//! up to the largest count any call has asked for ([`helper_threads`]),
+//! park on a condition variable when idle and are never joined. A spawn
+//! that fails leaves fewer helpers; the caller can finish every chunk
+//! alone.
+//!
+//! The job's closure borrows the caller's stack, so it reaches the
+//! helpers as a lifetime-erased reference. The invariant that makes this
+//! sound: a helper joins a job only while it is open, under the job's
+//! lock, and the caller closes the job and waits for every helper that
+//! joined before it returns — on unwind too.
+//!
+//! Panics propagate to the caller with their original payload. Nested
+//! use (a `par_map` inside a `par_map` worker) and concurrent callers on
+//! several OS threads are safe: a caller never waits for a helper to
+//! join, only for the helpers that did, so a call whose helpers are all
+//! busy runs on its caller alone.
 
-use std::panic::resume_unwind;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Environment variable consulted by [`Parallelism::Auto`]: a positive
@@ -52,8 +76,8 @@ pub enum Parallelism {
     /// Run everything inline on the calling thread. The reference mode
     /// for reproducibility tests and the fallback on single-core hosts.
     Sequential,
-    /// Use exactly this many worker threads (values `0` and `1` behave
-    /// like [`Parallelism::Sequential`]).
+    /// Use this many threads: the caller plus up to `n − 1` pool helpers
+    /// (values `0` and `1` behave like [`Parallelism::Sequential`]).
     Fixed(usize),
     /// Resolve the worker count at call time: [`THREADS_ENV`] if set to a
     /// positive integer, otherwise [`std::thread::available_parallelism`].
@@ -110,8 +134,8 @@ impl Parallelism {
     /// Maps `f` over `items`, returning results in input order.
     ///
     /// Work is split into contiguous chunks (see [`chunk_size`]) pulled
-    /// from an atomic queue by a scoped worker pool. A panic in `f`
-    /// resumes on the caller with its original payload.
+    /// from an atomic queue by the calling thread and the pool's helpers.
+    /// A panic in `f` resumes on the caller with its original payload.
     pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -122,7 +146,8 @@ impl Parallelism {
     }
 
     /// [`Parallelism::par_map`] with per-worker scratch state: `init`
-    /// runs once per worker thread and `f` receives the scratch mutably.
+    /// runs at most once per participating thread, on its first chunk,
+    /// and `f` receives the scratch mutably.
     ///
     /// The pipeline uses this for reusable buffers (a Dijkstra distance
     /// array, token scratch) whose *contents* must not change results —
@@ -144,42 +169,30 @@ impl Parallelism {
         let num_chunks = items.len().div_ceil(chunk);
         let workers = threads.min(num_chunks);
         let next = AtomicUsize::new(0);
+        let parts: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::with_capacity(num_chunks));
 
-        let mut parts: Vec<(usize, Vec<U>)> = Vec::with_capacity(num_chunks);
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = init();
-                        let mut local: Vec<(usize, Vec<U>)> = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= num_chunks {
-                                break;
-                            }
-                            let start = index * chunk;
-                            let end = (start + chunk).min(items.len());
-                            let out: Vec<U> = items[start..end]
-                                .iter()
-                                .map(|item| f(&mut scratch, item))
-                                .collect();
-                            local.push((index, out));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(mut local) => parts.append(&mut local),
-                    // Re-raise the worker's panic with its own payload
-                    // (thread::scope alone would replace it with a
-                    // generic "a scoped thread panicked").
-                    Err(payload) => resume_unwind(payload),
+        // One participant's share: pull chunks until the queue is empty.
+        // The scratch is made on the first chunk, so a helper that joins
+        // after the last chunk was taken never runs `init`.
+        let participate = || {
+            let mut scratch = None;
+            let mut local: Vec<(usize, Vec<U>)> = Vec::new();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= num_chunks {
+                    break;
                 }
+                let scratch = scratch.get_or_insert_with(&init);
+                let start = index * chunk;
+                let end = (start + chunk).min(items.len());
+                let out: Vec<U> = items[start..end].iter().map(|item| f(scratch, item)).collect();
+                local.push((index, out));
             }
-        });
+            parts.lock().expect("a participant panicked while appending").append(&mut local);
+        };
+        POOL.run(workers - 1, &participate);
 
+        let mut parts = parts.into_inner().expect("a participant panicked while appending");
         parts.sort_unstable_by_key(|&(index, _)| index);
         debug_assert_eq!(parts.len(), num_chunks, "every chunk is computed exactly once");
         parts.into_iter().flat_map(|(_, out)| out).collect()
@@ -201,6 +214,175 @@ impl Parallelism {
 /// worker for balance without scheduling overhead.
 pub fn chunk_size(len: usize, threads: usize) -> usize {
     len.div_ceil(threads.max(1) * CHUNKS_PER_THREAD).max(1)
+}
+
+/// Number of persistent helper threads the process-wide pool has spawned
+/// so far. It grows only to the largest `threads() − 1` any call has
+/// asked for, never with the number of calls.
+pub fn helper_threads() -> usize {
+    POOL.lock().helpers
+}
+
+/// The process-wide pool behind every parallel [`Parallelism::par_map_with`].
+static POOL: Pool =
+    Pool { queue: Mutex::new(Queue { jobs: VecDeque::new(), helpers: 0 }), wake: Condvar::new() };
+
+/// Persistent helper threads plus the open jobs they may join.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Idle helpers park here until a job is posted.
+    wake: Condvar,
+}
+
+struct Queue {
+    /// Open jobs, each with the number of helpers it may still take.
+    jobs: VecDeque<(Arc<Job>, usize)>,
+    /// Helpers spawned so far; they are never joined.
+    helpers: usize,
+}
+
+/// One `par_map` call as the helpers see it.
+struct Job {
+    state: Mutex<JobState>,
+    /// Signalled when the last joined helper leaves.
+    finished: Condvar,
+}
+
+struct JobState {
+    /// The caller's participation closure while the job is open; `None`
+    /// once the caller has closed it.
+    work: Option<&'static (dyn Fn() + Sync)>,
+    /// Helpers that joined and have not yet returned.
+    running: usize,
+    /// The first panic a helper raised, re-raised on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Pool {
+    /// The queue. Its lock is never held while user code runs, so it
+    /// cannot be poisoned.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `work` on the calling thread and on up to `helpers` pool
+    /// threads at once, returning when every participant has finished.
+    /// A helper's panic resumes here with its payload; a panic in the
+    /// caller's own share unwinds only after the joined helpers are done.
+    fn run(&'static self, helpers: usize, work: &(dyn Fn() + Sync)) {
+        self.grow(helpers);
+        // SAFETY: the reference is extended to `'static` only so helper
+        // threads, which outlive this call, can hold it. A helper copies
+        // it out of `JobState::work` and counts itself in `running` in
+        // one critical section of the job's lock, and only while `work`
+        // is `Some`. `Close`, dropped below on return and on unwind
+        // alike, sets `work` to `None` and then waits under the same
+        // lock until `running` is zero, so no helper starts after that
+        // and none is still calling `work` when this frame, which owns
+        // everything `work` borrows, is left.
+        let erased =
+            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work) };
+        let job = Arc::new(Job {
+            state: Mutex::new(JobState { work: Some(erased), running: 0, panic: None }),
+            finished: Condvar::new(),
+        });
+        if helpers > 0 {
+            self.lock().jobs.push_back((Arc::clone(&job), helpers));
+            for _ in 0..helpers {
+                self.wake.notify_one();
+            }
+        }
+        let close = Close { pool: self, job: &job };
+        work();
+        drop(close);
+        let panic = job.lock().panic.take();
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Spawns helpers until there are `wanted`. A failed spawn stops
+    /// early: the caller can finish every chunk alone. The handles are
+    /// dropped: a helper never returns, and it cannot panic, since
+    /// [`Job::help`] catches the panics of the work it runs.
+    fn grow(&'static self, wanted: usize) {
+        let mut queue = self.lock();
+        while queue.helpers < wanted {
+            let spawned = thread::Builder::new()
+                .name(format!("remp-par-{}", queue.helpers))
+                .spawn(move || self.help_forever());
+            if spawned.is_err() {
+                break;
+            }
+            queue.helpers += 1;
+        }
+    }
+
+    fn help_forever(&self) {
+        loop {
+            let job = {
+                let mut queue = self.lock();
+                loop {
+                    if let Some((job, slots)) = queue.jobs.front_mut() {
+                        let job = Arc::clone(job);
+                        *slots -= 1;
+                        if *slots == 0 {
+                            queue.jobs.pop_front();
+                        }
+                        break job;
+                    }
+                    queue = self.wake.wait(queue).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            job.help();
+        }
+    }
+}
+
+impl Job {
+    /// The job's state. Its lock is never held while user code runs, so
+    /// it cannot be poisoned.
+    fn lock(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Joins the job if it is still open and runs the caller's closure.
+    fn help(&self) {
+        let work = {
+            let mut state = self.lock();
+            let Some(work) = state.work else { return };
+            state.running += 1;
+            work
+        };
+        let result = catch_unwind(AssertUnwindSafe(work));
+        let mut state = self.lock();
+        state.running -= 1;
+        if let Err(payload) = result {
+            state.panic.get_or_insert(payload);
+        }
+        if state.running == 0 {
+            self.finished.notify_all();
+        }
+    }
+}
+
+/// Closes a job when the caller's own share ends, normally or by
+/// unwinding: withdraws it from the queue, stops further helpers from
+/// joining, and waits for the ones that did.
+struct Close<'a> {
+    pool: &'a Pool,
+    job: &'a Arc<Job>,
+}
+
+impl Drop for Close<'_> {
+    fn drop(&mut self) {
+        self.pool.lock().jobs.retain(|(job, _)| !Arc::ptr_eq(job, self.job));
+        let mut state = self.job.lock();
+        state.work = None;
+        while state.running > 0 {
+            state = self.job.finished.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 #[cfg(test)]

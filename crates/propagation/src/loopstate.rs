@@ -143,6 +143,12 @@ fn record_refresh_metrics(stats: &RefreshStats) {
         &[],
     )
     .add(stats.settled_vertices as u64);
+    reg.gauge(
+        remp_obs::names::PAR_HELPER_THREADS,
+        "Persistent helper threads the remp-par pool has spawned.",
+        &[],
+    )
+    .set(remp_par::helper_threads() as f64);
 }
 
 /// What one refresh changed, for the caller's own caches.

@@ -254,6 +254,11 @@ impl Server {
                             self.setup_stream(&stream);
                             self.stats.conn_opened();
                             table.park(Conn { stream, served: 0 });
+                            // The rest of a burst waits in the backlog
+                            // until a socket closes.
+                            if self.stats.open_count() >= self.max_connections {
+                                break;
+                            }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -552,22 +557,26 @@ fn handler_worker(
     dispatcher: &Dispatcher,
     max_wait_ms: u64,
 ) {
-    let mut events = [epoll_ffi::Event::zeroed(); 16];
+    // One socket per wake-up: a ready socket this handler has not yet
+    // claimed stays in the set for the next free handler, so a client
+    // that stalls mid-request holds only its own socket.
+    let mut events = [epoll_ffi::Event::zeroed(); 1];
     while !done.load(Ordering::SeqCst) {
         // 50 ms bounds stop-flag latency; ready sockets return at once.
         let Ok(ready) = table.ep.wait(&mut events, 50) else {
             return;
         };
-        for event in &events[..ready] {
-            // A stale event can race a socket the reaper already took.
-            let Some(conn) = table.take(event.fd()) else {
-                continue;
-            };
-            match service_conn(conn, registry, dispatcher, &table.stats, max_wait_ms) {
-                Disposition::Close => table.stats.conn_closed(),
-                Disposition::KeepAlive(conn) => table.park(conn),
-                Disposition::Parked => {}
-            }
+        if ready == 0 {
+            continue;
+        }
+        // A stale event can race a socket the reaper already took.
+        let Some(conn) = table.take(events[0].fd()) else {
+            continue;
+        };
+        match service_conn(conn, registry, dispatcher, &table.stats, max_wait_ms) {
+            Disposition::Close => table.stats.conn_closed(),
+            Disposition::KeepAlive(conn) => table.park(conn),
+            Disposition::Parked => {}
         }
     }
 }

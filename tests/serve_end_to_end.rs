@@ -844,6 +844,114 @@ fn the_connection_cap_holds_new_clients_until_a_socket_closes() {
     server.shutdown();
 }
 
+/// A handler claims one ready socket per wake-up, so a client that
+/// stalls mid-request holds only its own socket: with a staller and a
+/// complete `/healthz` ready together, `/healthz` goes to the other
+/// handler and is answered long before the 5 s read timeout.
+#[test]
+fn a_stalled_client_holds_only_its_own_socket() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    use remp::par::Parallelism;
+
+    let server = TestServer::start_config(ServerConfig {
+        parallelism: Parallelism::Fixed(2),
+        read_timeout: Duration::from_secs(5),
+        ..ServerConfig::default()
+    });
+    let addr = server.client.addr();
+    // Hold both handlers: each occupier pipelines a whole request and
+    // half of a second one, so the handler that answers the first stays
+    // on the socket, reading the rest.
+    let mut occupiers: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut socket = TcpStream::connect(addr).expect("connect an occupier");
+            socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            socket
+                .write_all(b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\nGET /healthz HT")
+                .unwrap();
+            read_one_response(&mut BufReader::new(&socket)).expect("the first request is answered");
+            socket
+        })
+        .collect();
+
+    // With no handler free, both sockets are parked ready, in this order.
+    let staller = {
+        let mut socket = TcpStream::connect(addr).expect("connect the staller");
+        socket.write_all(b"GET /healthz HT").unwrap();
+        socket
+    };
+    let mut client = TcpStream::connect(addr).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    client.write_all(b"GET /healthz HTTP/1.1\r\nhost: test\r\n\r\n").unwrap();
+    // Let the accept loop park both before a handler comes free.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let t0 = Instant::now();
+    for occupier in &mut occupiers {
+        occupier.write_all(b"TP/1.1\r\nhost: test\r\n\r\n").unwrap();
+    }
+    let (head, _body) = read_one_response(&mut BufReader::new(&client))
+        .expect("a stalled client must not hold a ready /healthz");
+    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "/healthz waited {:?} behind the staller",
+        t0.elapsed()
+    );
+    drop(staller);
+    server.shutdown();
+}
+
+/// The connection cap holds under a burst: the listener stops accepting
+/// at the cap even with more clients in its backlog, so no `/healthz`
+/// ever sees more than the cap open, and every client of the burst is
+/// answered once earlier ones close.
+#[test]
+fn a_connection_burst_never_exceeds_the_cap() {
+    use std::io::{BufReader, Write};
+    use std::net::TcpStream;
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    // A cap of 1 is clamped to 8.
+    const CAP: u64 = 8;
+    const CLIENTS: usize = 30;
+    let server =
+        TestServer::start_config(ServerConfig { max_connections: 1, ..ServerConfig::default() });
+    let addr = server.client.addr();
+    let connected = Barrier::new(CLIENTS);
+    let open_seen: Vec<u64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut socket = TcpStream::connect(addr).expect("connect");
+                    socket.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+                    connected.wait();
+                    socket
+                        .write_all(
+                            b"GET /healthz HTTP/1.1\r\nhost: test\r\nconnection: close\r\n\r\n",
+                        )
+                        .unwrap();
+                    let (head, body) = read_one_response(&mut BufReader::new(&socket))
+                        .expect("every client of the burst is answered");
+                    assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+                    let doc = Json::parse(&body).expect("a JSON body");
+                    doc.get("connections_open").and_then(Json::as_u64).expect("connections_open")
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect()
+    });
+    assert!(
+        open_seen.iter().all(|&open| open <= CAP),
+        "connections_open went past the cap of {CAP}: {open_seen:?}"
+    );
+    server.shutdown();
+}
+
 /// Pipelined requests are answered in order, and a long-poll never
 /// parks while a request is already buffered behind it: the `/next`
 /// that would wait 2 s answers at once so the `/healthz` behind it is
