@@ -107,7 +107,7 @@ pub fn propagation_only_f1(
         let inferred = inferred_sets_dijkstra(&pg, config.tau, par);
         let mut new_matches = Vec::new();
         for &s in &matched {
-            for &(p, _) in inferred.inferred(s) {
+            for &p in inferred.inferred(s) {
                 new_matches.push(p);
             }
         }

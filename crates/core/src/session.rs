@@ -198,7 +198,9 @@ struct PendingQuestion {
     /// Prior at batch creation: the posterior's prior, regardless of
     /// what same-batch propagation did to the live prior since.
     prior: f64,
-    /// Snapshot of this question's inferred set at batch creation.
+    /// Snapshot of this question's inferred set at batch creation, with
+    /// each target's `Pr[m_p | m_q]` (the probabilities only reach the
+    /// checkpoint; propagation reads the ids).
     inferred: Vec<(PairId, f64)>,
     answered: bool,
 }
@@ -509,6 +511,11 @@ impl<'a> RempSession<'a> {
             return Ok(None);
         }
         let selected = self.selector.select(mu);
+        // The inferred sets keep pair ids only; each issued question's
+        // snapshot also carries the probabilities, computed here for
+        // the ≤ µ selected questions and timed as part of selection.
+        let snapshots: Vec<Vec<(PairId, f64)>> =
+            selected.iter().map(|&q| self.state.inferred_probabilities(&ctx, q)).collect();
         let stat = record(selection_started);
         self.loop_stats.push(stat);
         if selected.is_empty() {
@@ -519,10 +526,10 @@ impl<'a> RempSession<'a> {
 
         let loop_index = self.loops;
         let candidates = &self.prep.candidates;
-        let inferred = self.state.inferred();
         let questions = selected
             .into_iter()
-            .map(|q| {
+            .zip(snapshots)
+            .map(|(q, inferred)| {
                 let id = self.next_question_id;
                 self.next_question_id += 1;
                 let pair = candidates.pair(q);
@@ -531,7 +538,7 @@ impl<'a> RempSession<'a> {
                     id,
                     pair: q,
                     prior,
-                    inferred: inferred.inferred(q).to_vec(),
+                    inferred,
                     answered: false,
                 });
                 Question {
@@ -1117,8 +1124,9 @@ impl SessionCheckpoint {
 mod tests {
     use super::*;
     use crate::Remp;
-    use remp_crowd::OracleCrowd;
-    use remp_datasets::{generate, iimb};
+    use remp_crowd::{OracleCrowd, SimulatedCrowd};
+    use remp_datasets::{dblp_acm, generate, iimb, imdb_yago, GeneratedDataset};
+    use remp_propagation::inferred_probabilities;
 
     fn oracle_labels(is_match: bool) -> Vec<Label> {
         vec![Label::new(0.999, is_match)]
@@ -1411,5 +1419,99 @@ mod tests {
             SessionCheckpoint::from_json_str("{\"version\": 99}"),
             Err(RempError::MalformedCheckpoint(_))
         ));
+    }
+
+    /// Drives a default-config campaign on `d` with a seeded simulated
+    /// crowd, calling `check` after every `next_batch` (each runs one
+    /// propagation refresh), the terminating call included.
+    fn drive_seeded(d: &GeneratedDataset, seed: u64, mut check: impl FnMut(&RempSession<'_>)) {
+        let remp = Remp::default();
+        let mut session = remp.begin(&d.kb1, &d.kb2).unwrap();
+        let mut crowd = SimulatedCrowd::paper_default(seed);
+        while let Some(batch) = session.next_batch().unwrap() {
+            check(&session);
+            for q in &batch.questions {
+                session.submit(q.id, crowd.label(d.is_match(q.pair.0, q.pair.1))).unwrap();
+            }
+        }
+        check(&session);
+    }
+
+    /// I-Y, D-A and IIMB at small scale: the presets the propagation
+    /// workloads run, shrunk to test size.
+    fn small_presets() -> [(&'static str, GeneratedDataset); 3] {
+        [
+            ("I-Y", generate(&imdb_yago(0.2))),
+            ("D-A", generate(&dblp_acm(0.3))),
+            ("IIMB", generate(&iimb(0.4))),
+        ]
+    }
+
+    #[test]
+    fn pending_probabilities_equal_the_textbook_kernel() {
+        // FNV-1a over every pending question's (id, pair, inferred
+        // entries as (target, f64 bits)), per preset; the pins were
+        // recorded when the inferred sets still stored the probabilities
+        // themselves, so the snapshots (and the checkpoint and WAL bytes
+        // made from them) are unchanged by keeping ids only.
+        const PINS: [(&str, u64); 3] = [
+            ("I-Y", 0x6c41_200b_cfc7_efe1),
+            ("D-A", 0x688b_2f1d_77cd_d605),
+            ("IIMB", 0xd9cc_9cdd_4edc_d7e1),
+        ];
+        let bits = |row: &[(PairId, f64)]| -> Vec<(PairId, u64)> {
+            row.iter().map(|&(p, pr)| (p, pr.to_bits())).collect()
+        };
+        for ((name, d), (pin_name, pin)) in small_presets().iter().zip(PINS) {
+            assert_eq!(*name, pin_name);
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut fold = |x: u64| {
+                for b in x.to_le_bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            };
+            let mut questions = 0;
+            drive_seeded(d, 7, |session| {
+                let tau = session.config.tau;
+                for p in &session.pending {
+                    let want = inferred_probabilities(session.state.prob_graph(), tau, p.pair);
+                    assert_eq!(bits(&p.inferred), bits(&want), "{name}: question q{}", p.id);
+                    fold(p.id);
+                    fold(u64::from(p.pair.0));
+                    for &(t, pr) in &p.inferred {
+                        fold(u64::from(t.0));
+                        fold(pr.to_bits());
+                    }
+                    questions += 1;
+                }
+            });
+            assert!(questions > 0, "{name}: the campaign must issue questions");
+            assert_eq!(digest, pin, "{name}: pending-question digest moved");
+        }
+    }
+
+    #[test]
+    fn only_eligible_sources_keep_inferred_rows() {
+        for (name, d) in &small_presets() {
+            drive_seeded(d, 7, |session| {
+                let inferred = session.state.inferred();
+                let mut live = 0;
+                for (i, &eligible) in session.state.eligible().iter().enumerate() {
+                    let q = PairId::from_index(i);
+                    let row = inferred.inferred(q);
+                    if eligible {
+                        assert!(row.binary_search(&q).is_ok(), "{name}: {q:?} lost its own entry");
+                        live += row.len();
+                    } else {
+                        assert!(
+                            row.is_empty(),
+                            "{name}: resolved {q:?} keeps {} entries",
+                            row.len()
+                        );
+                    }
+                }
+                assert_eq!(inferred.total_size(), live, "{name}: entry count drifted");
+            });
+        }
     }
 }

@@ -79,6 +79,9 @@ pub mod names {
     pub const PG_ARENA_COMPACTIONS_TOTAL: &str = "remp_pg_arena_compactions_total";
     /// Gauge: persistent helper threads the `remp-par` pool has spawned.
     pub const PAR_HELPER_THREADS: &str = "remp_par_helper_threads";
+    /// Gauge: live inferred-set entries (pair ids) after the last
+    /// propagation refresh.
+    pub const INFERRED_ENTRIES: &str = "remp_inferred_entries";
     /// Counter: crowd questions created by sessions.
     pub const QUESTIONS_ASKED_TOTAL: &str = "remp_questions_asked_total";
     /// Counter: answer sets submitted into sessions (completed

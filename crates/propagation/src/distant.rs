@@ -7,6 +7,15 @@
 //! this is a shortest-path problem, and the threshold `Pr ≥ τ` becomes
 //! `dist ≤ ζ = −log τ`.
 //!
+//! An inferred set is kept as pair ids only: question selection (Eqs.
+//! 15–16) and propagation after a crowd match (Eq. 12) only ask which
+//! pairs are in `inferred(q)`. The probability `Pr[m_p | m_q] = exp(−dist)`
+//! is computed on demand for one source by the textbook kernel:
+//! [`inferred_probabilities`] over the global graph, and
+//! [`crate::LoopState::inferred_probabilities`] with its distances indexed
+//! by position in the source's component (what a session snapshots for
+//! each question it issues).
+//!
 //! Three implementations, one edge-length rule ([`length_within`]):
 //! * [`ComponentView`] — the kernel the crowd loop runs. Each
 //!   [`crate::LoopState::refresh`] flattens its dirty components into one
@@ -19,9 +28,10 @@
 //!   `REMP_CHECK_INCREMENTAL=1`).
 //! * [`inferred_sets_floyd_warshall`] — the paper's Algorithm 2: threshold
 //!   Floyd–Warshall over per-vertex ordered maps. Exact for all distances
-//!   ≤ ζ because every subpath of a ≤ ζ path is itself ≤ ζ; matches the
-//!   Dijkstra output within float tolerance (property-tested). The bench
-//!   suite compares it with Dijkstra (ablation).
+//!   ≤ ζ because every subpath of a ≤ ζ path is itself ≤ ζ; yields the
+//!   same id rows as Dijkstra, with distances equal within float
+//!   tolerance (property-tested). The bench suite compares it with
+//!   Dijkstra (ablation).
 //!
 //! Both Dijkstra kernels key their min-heap on `dist.to_bits()`: every
 //! distance is a sum of non-negative lengths starting from `+0.0`, and
@@ -37,18 +47,29 @@ use remp_par::Parallelism;
 use crate::ProbErGraph;
 
 /// The inferred match sets of every candidate question (Eq. 12):
-/// `inferred(q) = { p : Pr[m_p | m_q] ≥ τ }`.
+/// `inferred(q) = { p : Pr[m_p | m_q] ≥ τ }`, as pair ids. The
+/// probabilities themselves come from [`inferred_probabilities`] or
+/// [`crate::LoopState::inferred_probabilities`], one source at a time.
 #[derive(Clone, Debug)]
 pub struct InferredSets {
-    /// `per_source[q]` = (target, `Pr[m_p | m_q]`), sorted by target;
-    /// always contains `(q, 1.0)` itself.
-    per_source: Vec<Vec<(PairId, f64)>>,
+    /// `per_source[q]` = the targets, sorted ascending; always contains
+    /// `q` itself, unless the row was never computed or has been freed
+    /// (see [`crate::LoopState`]).
+    per_source: Vec<Vec<PairId>>,
+    /// Summed length of the rows, kept current by every write so the
+    /// per-refresh gauge does not scan every source.
+    entries: usize,
     tau: f64,
 }
 
 impl InferredSets {
-    /// The inferred set of `q` as `(pair, probability)` entries.
-    pub fn inferred(&self, q: PairId) -> &[(PairId, f64)] {
+    fn from_rows(per_source: Vec<Vec<PairId>>, tau: f64) -> InferredSets {
+        let entries = per_source.iter().map(Vec::len).sum();
+        InferredSets { per_source, entries, tau }
+    }
+
+    /// The inferred set of `q`, sorted ascending.
+    pub fn inferred(&self, q: PairId) -> &[PairId] {
         &self.per_source[q.index()]
     }
 
@@ -62,28 +83,31 @@ impl InferredSets {
         self.per_source.len()
     }
 
-    /// Total size of all inferred sets (diagnostics).
+    /// Total size of all inferred sets: the live entries.
     pub fn total_size(&self) -> usize {
-        self.per_source.iter().map(Vec::len).sum()
+        self.entries
     }
 
     /// All-empty sets over `n` sources — the starting point for
-    /// incremental construction via [`set_row`](Self::set_row). Rows of
-    /// retired components legitimately stay empty: nothing reads the
-    /// inferred set of a resolved pair.
+    /// incremental construction via [`set_row`](Self::set_row). A row is
+    /// only ever filled for an eligible source, and
+    /// [`crate::LoopState::refresh`] empties it again once the source is
+    /// resolved: nothing reads the inferred set of a resolved pair.
     pub(crate) fn empty(n: usize, tau: f64) -> InferredSets {
-        InferredSets { per_source: vec![Vec::new(); n], tau }
+        InferredSets { per_source: vec![Vec::new(); n], entries: 0, tau }
     }
 
-    /// Replaces one source's inferred set.
-    pub(crate) fn set_row(&mut self, q: PairId, row: Vec<(PairId, f64)>) {
-        self.per_source[q.index()] = row;
+    /// Replaces one source's inferred set (an empty `row` frees it).
+    pub(crate) fn set_row(&mut self, q: PairId, row: Vec<PairId>) {
+        self.entries += row.len();
+        self.entries -= std::mem::replace(&mut self.per_source[q.index()], row).len();
     }
 }
 
 /// One source's textbook truncated Dijkstra over the global graph
 /// (Algorithm 2's output for one row): lengths recomputed per edge read,
-/// the row collected in settle order and sorted by target.
+/// the `(target, distance)` row collected in settle order and sorted by
+/// target.
 ///
 /// `dist`/`touched` are caller-provided scratch (distances all `∞` on
 /// entry, restored on exit, indexed by vertex id) so a worker can sweep
@@ -92,31 +116,33 @@ fn dijkstra_row(
     graph: &ProbErGraph,
     zeta: f64,
     q: PairId,
+    slot: impl Fn(PairId) -> usize,
     dist: &mut [f64],
     touched: &mut Vec<usize>,
 ) -> Vec<(PairId, f64)> {
     let mut out = Vec::new();
     let mut heap = BinaryHeap::new();
-    dist[q.index()] = 0.0;
-    touched.push(q.index());
+    dist[slot(q)] = 0.0;
+    touched.push(slot(q));
     heap.push(Reverse((0.0f64.to_bits(), q)));
     while let Some(Reverse((bits, v))) = heap.pop() {
         let d = f64::from_bits(bits);
-        if d > dist[v.index()] {
+        if d > dist[slot(v)] {
             continue; // stale entry
         }
-        out.push((v, (-d).exp()));
+        out.push((v, d));
         for &(w, p) in graph.edges_from(v) {
             let Some(len) = length_within(p, zeta) else { continue };
             let nd = d + len;
             if nd > zeta {
                 continue;
             }
-            if nd < dist[w.index()] {
-                if dist[w.index()] == f64::INFINITY {
-                    touched.push(w.index());
+            let s = slot(w);
+            if nd < dist[s] {
+                if dist[s] == f64::INFINITY {
+                    touched.push(s);
                 }
-                dist[w.index()] = nd;
+                dist[s] = nd;
                 heap.push(Reverse((nd.to_bits(), w)));
             }
         }
@@ -126,6 +152,32 @@ fn dijkstra_row(
         dist[t] = f64::INFINITY;
     }
     out
+}
+
+/// The inferred set of `q` with each target's `Pr[m_p | m_q]` (the
+/// largest path lower bound of Eq. 10, reported as `exp(−dist)`), sorted
+/// by target: the textbook truncated Dijkstra from one source over the
+/// global graph. The self entry is `(q, 1.0)` and every probability is
+/// in `[τ, 1]` up to the rounding of `exp(ln τ)`.
+pub fn inferred_probabilities(graph: &ProbErGraph, tau: f64, q: PairId) -> Vec<(PairId, f64)> {
+    probabilities_within(graph, tau, q, graph.num_vertices(), PairId::index)
+}
+
+/// [`inferred_probabilities`] with the search's distances indexed by
+/// `slot`, which must give every vertex `q` reaches its own index below
+/// `width` (a component's member positions will do).
+pub(crate) fn probabilities_within(
+    graph: &ProbErGraph,
+    tau: f64,
+    q: PairId,
+    width: usize,
+    slot: impl Fn(PairId) -> usize,
+) -> Vec<(PairId, f64)> {
+    let mut dist = vec![f64::INFINITY; width];
+    dijkstra_row(graph, zeta_of(tau), q, slot, &mut dist, &mut Vec::new())
+        .into_iter()
+        .map(|(w, d)| (w, (-d).exp()))
+        .collect()
 }
 
 /// The `ζ = −log τ` path-length budget for threshold `tau`.
@@ -159,9 +211,14 @@ pub fn inferred_sets_dijkstra(graph: &ProbErGraph, tau: f64, par: &Parallelism) 
     let per_source = par.par_map_with(
         &sources,
         || (vec![f64::INFINITY; n], Vec::<usize>::new()),
-        |(dist, touched), &q| dijkstra_row(graph, zeta, q, dist, touched),
+        |(dist, touched), &q| {
+            dijkstra_row(graph, zeta, q, PairId::index, dist, touched)
+                .into_iter()
+                .map(|(w, _)| w)
+                .collect()
+        },
     );
-    InferredSets { per_source, tau }
+    InferredSets::from_rows(per_source, tau)
 }
 
 /// A set of connected components of a [`ProbErGraph`] flattened into one
@@ -174,7 +231,7 @@ pub fn inferred_sets_dijkstra(graph: &ProbErGraph, tau: f64, par: &Parallelism) 
 /// their component, so a target is stored as its position within the
 /// component, and a search's distances are indexed by position. Members
 /// are ascending within a component, so position order is [`PairId`]
-/// order: rows come out sorted without sorting `(PairId, f64)` tuples.
+/// order: rows come out sorted without sorting.
 pub(crate) struct ComponentView {
     zeta: f64,
     /// Per component slot: the index of its first vertex in `members`,
@@ -271,12 +328,8 @@ impl ComponentView {
 
     /// The inferred set of the pair at `(slot, position)`, sorted by
     /// target: every vertex within ζ, each settled once at its final
-    /// distance and reported as `exp(−dist)`.
-    pub(crate) fn row(
-        &self,
-        (slot, source): (u32, u32),
-        scratch: &mut ViewScratch,
-    ) -> Vec<(PairId, f64)> {
+    /// distance.
+    pub(crate) fn row(&self, (slot, source): (u32, u32), scratch: &mut ViewScratch) -> Vec<PairId> {
         let ViewScratch { dist, touched, heap } = scratch;
         let base = self.bases[slot as usize] as usize;
         let zeta = self.zeta;
@@ -307,8 +360,7 @@ impl ComponentView {
         }
         touched.sort_unstable();
         let members = &self.members[base..];
-        let out =
-            touched.iter().map(|&p| (members[p as usize], (-dist[p as usize]).exp())).collect();
+        let out = touched.iter().map(|&p| members[p as usize]).collect();
         for t in touched.drain(..) {
             dist[t as usize] = f64::INFINITY;
         }
@@ -347,6 +399,16 @@ impl SortedRow {
 /// are within ζ; every subpath of a ≤ ζ shortest path is ≤ ζ (non-negative
 /// lengths), so thresholding loses nothing.
 pub fn inferred_sets_floyd_warshall(graph: &ProbErGraph, tau: f64) -> InferredSets {
+    let per_source = floyd_warshall_rows(graph, tau)
+        .into_iter()
+        .map(|row| row.into_iter().map(|(w, _)| w).collect())
+        .collect();
+    InferredSets::from_rows(per_source, tau)
+}
+
+/// [`inferred_sets_floyd_warshall`]'s rows as `(target, distance)`,
+/// sorted by target, the self entry at distance 0.
+fn floyd_warshall_rows(graph: &ProbErGraph, tau: f64) -> Vec<Vec<(PairId, f64)>> {
     let zeta = zeta_of(tau);
     let n = graph.num_vertices();
     // bt[q]: distances q → p (≤ ζ); bt_inv[q]: distances r → q.
@@ -393,17 +455,15 @@ pub fn inferred_sets_floyd_warshall(graph: &ProbErGraph, tau: f64) -> InferredSe
         }
     }
 
-    let per_source = bt
-        .iter()
+    bt.into_iter()
         .enumerate()
         .map(|(q, row)| {
-            let mut out: Vec<(PairId, f64)> = row.entries().map(|(p, d)| (p, (-d).exp())).collect();
-            out.push((PairId(q as u32), 1.0));
+            let mut out = row.0;
+            out.push((PairId(q as u32), 0.0));
             out.sort_by_key(|&(w, _)| w);
             out
         })
-        .collect();
-    InferredSets { per_source, tau }
+        .collect()
 }
 
 #[cfg(test)]
@@ -418,12 +478,19 @@ mod tests {
         ProbErGraph::from_edges(n, edges.iter().map(|&(v, w, p)| (PairId(v), PairId(w), p)))
     }
 
+    /// `Pr[m_target | m_source]` from the public one-source call.
+    fn probability(g: &ProbErGraph, tau: f64, source: u32, target: u32) -> f64 {
+        let row = inferred_probabilities(g, tau, PairId(source));
+        row.iter().find(|&&(w, _)| w == PairId(target)).expect("target is inferred").1
+    }
+
     #[test]
     fn self_is_always_inferred() {
         let g = graph(3, &[]);
         let s = inferred_sets_dijkstra(&g, 0.9, SEQ);
         for q in 0..3 {
-            assert_eq!(s.inferred(PairId(q)), &[(PairId(q), 1.0)]);
+            assert_eq!(s.inferred(PairId(q)), &[PairId(q)]);
+            assert_eq!(inferred_probabilities(&g, 0.9, PairId(q)), vec![(PairId(q), 1.0)]);
         }
     }
 
@@ -432,10 +499,8 @@ mod tests {
         // 0 →0.95→ 1 →0.95→ 2 : Pr[2|0] = 0.9025 ≥ 0.9
         let g = graph(3, &[(0, 1, 0.95), (1, 2, 0.95)]);
         let s = inferred_sets_dijkstra(&g, 0.9, SEQ);
-        let inf0 = s.inferred(PairId(0));
-        assert_eq!(inf0.len(), 3);
-        let p2 = inf0.iter().find(|&&(w, _)| w == PairId(2)).unwrap().1;
-        assert!((p2 - 0.9025).abs() < 1e-9);
+        assert_eq!(s.inferred(PairId(0)), &[PairId(0), PairId(1), PairId(2)]);
+        assert!((probability(&g, 0.9, 0, 2) - 0.9025).abs() < 1e-9);
     }
 
     #[test]
@@ -444,17 +509,15 @@ mod tests {
         let g = graph(3, &[(0, 1, 0.9), (1, 2, 0.9)]);
         let s = inferred_sets_dijkstra(&g, 0.9, SEQ);
         let inf0 = s.inferred(PairId(0));
-        assert!(inf0.iter().any(|&(w, _)| w == PairId(1)));
-        assert!(!inf0.iter().any(|&(w, _)| w == PairId(2)));
+        assert!(inf0.contains(&PairId(1)));
+        assert!(!inf0.contains(&PairId(2)));
     }
 
     #[test]
     fn best_path_wins() {
         // Direct weak edge 0→2 (0.91) vs 2-hop strong path (0.98² = 0.9604).
         let g = graph(3, &[(0, 2, 0.91), (0, 1, 0.98), (1, 2, 0.98)]);
-        let s = inferred_sets_dijkstra(&g, 0.9, SEQ);
-        let p2 = s.inferred(PairId(0)).iter().find(|&&(w, _)| w == PairId(2)).unwrap().1;
-        assert!((p2 - 0.9604).abs() < 1e-9);
+        assert!((probability(&g, 0.9, 0, 2) - 0.9604).abs() < 1e-9);
     }
 
     #[test]
@@ -472,9 +535,22 @@ mod tests {
         assert_eq!(s.inferred(PairId(1)).len(), 1, "no reverse edge");
     }
 
+    #[test]
+    fn set_row_keeps_the_entry_count() {
+        let mut s = inferred_sets_dijkstra(&graph(3, &[(0, 1, 0.99)]), 0.9, SEQ);
+        assert_eq!(s.total_size(), 4);
+        s.set_row(PairId(2), Vec::new());
+        assert_eq!(s.total_size(), 3);
+        s.set_row(PairId(1), vec![PairId(1), PairId(2)]);
+        assert_eq!(s.total_size(), 4);
+        s.set_row(PairId(0), vec![PairId(0)]);
+        assert_eq!(s.total_size(), 3);
+        assert!(s.inferred(PairId(2)).is_empty());
+    }
+
     /// All of `graph` as one component (positions are vertex ids), every
     /// vertex a source: the view kernel's output in `InferredSets` order.
-    fn view_rows(graph: &ProbErGraph, tau: f64) -> Vec<Vec<(PairId, f64)>> {
+    fn view_rows(graph: &ProbErGraph, tau: f64) -> Vec<Vec<PairId>> {
         let members: Vec<PairId> = (0..graph.num_vertices() as u32).map(PairId).collect();
         let view = ComponentView::build(graph, tau, [members.as_slice()], PairId::index);
         let mut scratch = view.scratch();
@@ -487,14 +563,16 @@ mod tests {
         // the path the loop's computed edge lists take.
         let mut g = ProbErGraph::empty(2);
         g.replace_edges(PairId(0), vec![(PairId(1), f64::NAN)]);
-        let only_self = [vec![(PairId(0), 1.0)], vec![(PairId(1), 1.0)]];
         let dijkstra = inferred_sets_dijkstra(&g, 0.5, SEQ);
         let fw = inferred_sets_floyd_warshall(&g, 0.5);
+        let view = view_rows(&g, 0.5);
         for q in 0..2 {
-            assert_eq!(dijkstra.inferred(PairId(q)), only_self[q as usize].as_slice());
-            assert_eq!(fw.inferred(PairId(q)), only_self[q as usize].as_slice());
+            let only_self = [PairId(q)];
+            assert_eq!(dijkstra.inferred(PairId(q)), only_self.as_slice());
+            assert_eq!(fw.inferred(PairId(q)), only_self.as_slice());
+            assert_eq!(view[q as usize], only_self);
+            assert_eq!(inferred_probabilities(&g, 0.5, PairId(q)), vec![(PairId(q), 1.0)]);
         }
-        assert_eq!(view_rows(&g, 0.5), only_self);
     }
 
     #[test]
@@ -508,9 +586,20 @@ mod tests {
         // τ = 1 → ζ = −0.0: only p = 1 edges (length −0.0) survive, and
         // the path 0 → 1 → 2 stays at distance +0.0.
         let g = graph(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.999_999)]);
-        let want = vec![(PairId(0), 1.0), (PairId(1), 1.0), (PairId(2), 1.0)];
-        assert_eq!(inferred_sets_dijkstra(&g, 1.0, SEQ).inferred(PairId(0)), want.as_slice());
-        assert_eq!(view_rows(&g, 1.0)[0], want);
+        let ids = vec![PairId(0), PairId(1), PairId(2)];
+        let probabilities = vec![(PairId(0), 1.0), (PairId(1), 1.0), (PairId(2), 1.0)];
+        assert_eq!(inferred_sets_dijkstra(&g, 1.0, SEQ).inferred(PairId(0)), ids.as_slice());
+        assert_eq!(inferred_probabilities(&g, 1.0, PairId(0)), probabilities);
+        assert_eq!(view_rows(&g, 1.0)[0], ids);
+    }
+
+    /// Floyd–Warshall's rows as probabilities, to compare with
+    /// [`inferred_probabilities`] within float tolerance.
+    fn fw_probabilities(g: &ProbErGraph, tau: f64) -> Vec<Vec<(PairId, f64)>> {
+        floyd_warshall_rows(g, tau)
+            .into_iter()
+            .map(|row| row.into_iter().map(|(w, d)| (w, (-d).exp())).collect())
+            .collect()
     }
 
     #[test]
@@ -521,9 +610,11 @@ mod tests {
         );
         let a = inferred_sets_dijkstra(&g, 0.9, SEQ);
         let b = inferred_sets_floyd_warshall(&g, 0.9);
+        let fw = fw_probabilities(&g, 0.9);
         for q in 0..5 {
-            let xs = a.inferred(PairId(q));
-            let ys = b.inferred(PairId(q));
+            assert_eq!(a.inferred(PairId(q)), b.inferred(PairId(q)), "q = {q}");
+            let xs = inferred_probabilities(&g, 0.9, PairId(q));
+            let ys = &fw[q as usize];
             assert_eq!(xs.len(), ys.len(), "q = {q}: {xs:?} vs {ys:?}");
             for (x, y) in xs.iter().zip(ys) {
                 assert_eq!(x.0, y.0);
@@ -549,6 +640,7 @@ mod tests {
             let g = graph(8, &edges);
             let a = inferred_sets_dijkstra(&g, tau, SEQ);
             let b = inferred_sets_floyd_warshall(&g, tau);
+            let fw = fw_probabilities(&g, tau);
             for par in [POOL, &Parallelism::Fixed(7)] {
                 let pooled = inferred_sets_dijkstra(&g, tau, par);
                 for q in 0..8 {
@@ -557,9 +649,12 @@ mod tests {
                 }
             }
             for q in 0..8 {
-                // …and the sequential run matches the paper's Algorithm 2.
-                let xs = a.inferred(PairId(q));
-                let ys = b.inferred(PairId(q));
+                // …and the sequential run matches the paper's Algorithm 2:
+                // the same id rows, the same probabilities within
+                // tolerance.
+                prop_assert_eq!(a.inferred(PairId(q)), b.inferred(PairId(q)));
+                let xs = inferred_probabilities(&g, tau, PairId(q));
+                let ys = &fw[q as usize];
                 prop_assert_eq!(xs.len(), ys.len(), "q={}: {:?} vs {:?}", q, xs, ys);
                 for (x, y) in xs.iter().zip(ys) {
                     prop_assert_eq!(x.0, y.0);
@@ -568,14 +663,18 @@ mod tests {
             }
         }
 
-        /// The loop's kernel over a flat view of several components equals
-        /// the textbook kernel over the global graph bit for bit, for every
-        /// source, sequentially and pooled. Vertex `v` joins component
-        /// `comp[v]`, so members interleave across components and
-        /// positions differ from ids. Edge probabilities mix exact 0, τ
-        /// and 1, draws above and below τ, two fixed values that make
-        /// equal-length paths common, and uniform draws; self-loops
-        /// come from `i == j`; `tau_pick == 0` sets τ = 1 (ζ = −0.0).
+        /// The loop's kernels equal the textbook kernel over the global
+        /// graph bit for bit, for every source, sequentially and pooled:
+        /// the id rows of a flat view of several components, and the
+        /// probability rows with distances indexed by component position
+        /// (what a session snapshots) against [`inferred_probabilities`].
+        /// Vertex `v`
+        /// joins component `comp[v]`, so members interleave across
+        /// components and positions differ from ids. Edge probabilities
+        /// mix exact 0, τ and 1, draws above and below τ, two fixed
+        /// values that make equal-length paths common, and uniform draws;
+        /// self-loops come from `i == j`; `tau_pick == 0` sets τ = 1
+        /// (ζ = −0.0).
         #[test]
         fn view_kernel_equals_textbook_kernel(
             comp in proptest::collection::vec(0usize..4, 1..24),
@@ -623,15 +722,26 @@ mod tests {
             let sources = view.sources(|_| true);
             prop_assert_eq!(sources.len(), n);
             for par in [SEQ, POOL] {
-                let rows = par.par_map_with(&sources, || view.scratch(), |sc, &s| view.row(s, sc));
-                for (&s, row) in sources.iter().zip(&rows) {
+                let rows = par.par_map_with(&sources, || view.scratch(), |sc, &s| {
                     let q = view.pair(s);
-                    prop_assert_eq!(bits(row), bits(reference.inferred(q)), "source {:?}", q);
+                    let width = members[comp[q.index()]].len();
+                    (view.row(s, sc), probabilities_within(&g, tau, q, width, |v| position[v.index()]))
+                });
+                for (&s, (ids, probabilities)) in sources.iter().zip(&rows) {
+                    let q = view.pair(s);
+                    prop_assert_eq!(ids.as_slice(), reference.inferred(q), "source {:?}", q);
+                    prop_assert_eq!(
+                        bits(probabilities),
+                        bits(&inferred_probabilities(&g, tau, q)),
+                        "source {:?}",
+                        q
+                    );
                 }
             }
         }
 
-        /// Every inferred probability is in [τ, 1] and the self-entry is 1.
+        /// Every inferred probability is in [τ, 1] and the self-entry is 1;
+        /// the probability rows name exactly the pooled id rows.
         #[test]
         fn inferred_probabilities_bounded(
             edges in proptest::collection::vec((0u32..6, 0u32..6, 0.0f64..1.0), 0..30),
@@ -640,10 +750,12 @@ mod tests {
             let g = graph(6, &edges);
             let s = inferred_sets_dijkstra(&g, tau, POOL);
             for q in 0..6 {
-                let inf = s.inferred(PairId(q));
+                let inf = inferred_probabilities(&g, tau, PairId(q));
+                let ids: Vec<PairId> = inf.iter().map(|&(w, _)| w).collect();
+                prop_assert_eq!(ids.as_slice(), s.inferred(PairId(q)));
                 let me = inf.iter().find(|&&(w, _)| w == PairId(q)).expect("self entry");
                 prop_assert!((me.1 - 1.0).abs() < 1e-12);
-                for &(_, p) in inf {
+                for &(_, p) in &inf {
                     prop_assert!(p >= tau - 1e-9 && p <= 1.0 + 1e-12);
                 }
             }

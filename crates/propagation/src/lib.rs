@@ -56,6 +56,8 @@
 //!    eligible pairs, propagation targets are snapshotted at batch
 //!    creation, and termination inspects eligible pairs only. Seeds
 //!    inside retired components still feed the (global) label estimates.
+//!    For the same reason a source's inferred set is freed by the first
+//!    refresh after the source resolves, retired component or not.
 
 mod consistency;
 mod distant;
@@ -64,7 +66,9 @@ mod neighbor;
 mod probgraph;
 
 pub use consistency::{estimate_consistency, Consistency, ConsistencyTable, SizeObservation};
-pub use distant::{inferred_sets_dijkstra, inferred_sets_floyd_warshall, InferredSets};
+pub use distant::{
+    inferred_probabilities, inferred_sets_dijkstra, inferred_sets_floyd_warshall, InferredSets,
+};
 pub use loopstate::{LoopState, PropagationContext, RefreshOutcome, RefreshStats};
 pub use neighbor::{propagate_to_neighbors, MatchingCandidate, PropagationConfig};
 pub use probgraph::ProbErGraph;

@@ -42,6 +42,10 @@
 //! batch creation, and termination only inspects eligible pairs. Retired
 //! components never reopen: resolutions are never revoked, so a
 //! component's eligible count is monotonically non-increasing.
+//!
+//! The same argument frees memory: a source's inferred set is emptied by
+//! the first refresh after the source stops being eligible, so the live
+//! rows are exactly those of eligible sources.
 
 use remp_ergraph::{Candidates, ComponentIndex, ErGraph, PairId, RelPairId};
 use remp_kb::Kb;
@@ -49,7 +53,7 @@ use remp_obs::time_stage;
 use remp_par::Parallelism;
 
 use crate::consistency::{index_seeds, seed_observation, SeedIndex};
-use crate::distant::ComponentView;
+use crate::distant::{probabilities_within, ComponentView};
 use crate::probgraph::vertex_edges;
 use crate::{
     estimate_consistency, inferred_sets_dijkstra, ConsistencyTable, InferredSets, ProbErGraph,
@@ -116,8 +120,9 @@ impl RefreshStats {
 
 /// Publishes one refresh's counters to the global metrics registry.
 /// Stage timings are already recorded inside `time_stage`; this adds the
-/// loop-level dirty-region counters the incremental machinery reports.
-fn record_refresh_metrics(stats: &RefreshStats) {
+/// loop-level dirty-region counters the incremental machinery reports,
+/// and the live inferred-set entries the refresh left.
+fn record_refresh_metrics(stats: &RefreshStats, inferred: &InferredSets) {
     if !remp_obs::enabled() {
         return;
     }
@@ -149,6 +154,12 @@ fn record_refresh_metrics(stats: &RefreshStats) {
         &[],
     )
     .set(remp_par::helper_threads() as f64);
+    reg.gauge(
+        remp_obs::names::INFERRED_ENTRIES,
+        "Live inferred-set entries after the last propagation refresh.",
+        &[],
+    )
+    .set(inferred.total_size() as f64);
 }
 
 /// What one refresh changed, for the caller's own caches.
@@ -176,7 +187,8 @@ pub struct RefreshOutcome {
 /// vertex of a non-retired component, and the inferred set of every
 /// eligible source — the exact slices the pipeline reads
 /// ([`check_reference`](Self::check_reference) asserts this, and the
-/// `REMP_CHECK_INCREMENTAL=1` session mode runs it every loop).
+/// `REMP_CHECK_INCREMENTAL=1` session mode runs it every loop). The
+/// inferred set of every other source is empty.
 #[derive(Clone, Debug)]
 pub struct LoopState {
     tau: f64,
@@ -309,9 +321,26 @@ impl LoopState {
         &self.pg
     }
 
-    /// The current inferred sets (exact for every eligible source).
+    /// The current inferred sets (exact for every eligible source, empty
+    /// for every other).
     pub fn inferred(&self) -> &InferredSets {
         &self.inferred
+    }
+
+    /// The inferred set of `q` with each target's `Pr[m_p | m_q]`, sorted
+    /// by target: [`crate::inferred_probabilities`] over
+    /// [`prob_graph`](Self::prob_graph), with the search's distances
+    /// indexed by position in `q`'s component so they need only that
+    /// component's width. Exact whenever `q` is eligible (its component's
+    /// edges are then current); this is what a session snapshots for each
+    /// question it issues.
+    pub fn inferred_probabilities(
+        &self,
+        ctx: &PropagationContext<'_>,
+        q: PairId,
+    ) -> Vec<(PairId, f64)> {
+        let width = ctx.components.members(ctx.components.component_of(q)).len();
+        probabilities_within(&self.pg, self.tau, q, width, |v| ctx.components.position_of(v))
     }
 
     /// Merges newly confirmed matches into the (already sorted) seed set
@@ -361,7 +390,8 @@ impl LoopState {
 
     /// Records that `p` left the unresolved pool. Monotone: once resolved
     /// a pair never becomes eligible again, which is what lets fully
-    /// resolved components retire for good.
+    /// resolved components retire for good. The pair's inferred set is
+    /// freed by the next [`refresh`](Self::refresh), off the answer path.
     pub fn note_resolved(&mut self, p: PairId) {
         if !self.eligible[p.index()] {
             return;
@@ -553,37 +583,6 @@ impl LoopState {
                 (dirty_components, dirty_vertices.len(), changed_vertices)
             });
 
-        // -- Stage 2c: inferred sets of dirty components. ---------------
-        // One sequential pass flattens the dirty components into a
-        // position-indexed CSR with each edge length computed once (one
-        // buffer for the whole refresh, none per component); every
-        // eligible member then runs truncated Dijkstra over that view,
-        // with scratch sized by the largest dirty component. The textbook
-        // kernel over the global graph stays the reference
-        // (`rebuild_reference`), so `check_reference` compares two
-        // independent kernels.
-        let ((recomputed_sources, settled_vertices), inferred_s) =
-            time_stage("inferred_sets", || {
-                let view = ComponentView::build(
-                    &self.pg,
-                    self.tau,
-                    dirty_components.iter().map(|&c| ctx.components.members(c)),
-                    |v| ctx.components.position_of(v),
-                );
-                let sources = view.sources(|q| self.eligible[q.index()]);
-                let rows: Vec<Vec<(PairId, f64)>> = par.par_map_with(
-                    &sources,
-                    || view.scratch(),
-                    |scratch, &s| view.row(s, scratch),
-                );
-                let mut settled = 0;
-                for (&s, row) in sources.iter().zip(rows) {
-                    settled += row.len();
-                    self.inferred.set_row(view.pair(s), row);
-                }
-                (sources.len(), settled)
-            });
-
         // Note: components that just retired stay in this list — the
         // caller's selection cache must still observe the retirement
         // (drop the component's cached questions and reachability).
@@ -597,6 +596,48 @@ impl LoopState {
             comps.dedup();
             comps
         };
+
+        // -- Stage 2c: inferred sets of dirty components. ---------------
+        // First the rows of sources that are no longer eligible are freed
+        // (resolutions are never revoked, so no such row is read again):
+        // `note_resolved` queued each resolved pair's component, so they
+        // all lie in `selection_dirty`. One sequential pass then flattens
+        // the dirty components into a position-indexed CSR with each edge
+        // length computed once (one buffer for the whole refresh, none
+        // per component); every eligible member runs truncated Dijkstra
+        // over that view, with scratch sized by the largest dirty
+        // component, and keeps its row as pair ids. The textbook kernel
+        // over the global graph stays the reference (`rebuild_reference`),
+        // so `check_reference` compares two independent kernels.
+        let ((recomputed_sources, settled_vertices), inferred_s) =
+            time_stage("inferred_sets", || {
+                for &c in &selection_dirty {
+                    for &v in ctx.components.members(c) {
+                        if !self.eligible[v.index()] {
+                            self.inferred.set_row(v, Vec::new());
+                        }
+                    }
+                }
+                let view = ComponentView::build(
+                    &self.pg,
+                    self.tau,
+                    dirty_components.iter().map(|&c| ctx.components.members(c)),
+                    |v| ctx.components.position_of(v),
+                );
+                let sources = view.sources(|q| self.eligible[q.index()]);
+                let rows: Vec<Vec<PairId>> = par.par_map_with(
+                    &sources,
+                    || view.scratch(),
+                    |scratch, &s| view.row(s, scratch),
+                );
+                let mut settled = 0;
+                for (&s, row) in sources.iter().zip(rows) {
+                    settled += row.len();
+                    self.inferred.set_row(view.pair(s), row);
+                }
+                (sources.len(), settled)
+            });
+
         self.caches_valid = true;
 
         let stats = RefreshStats {
@@ -614,7 +655,7 @@ impl LoopState {
             propagation_s,
             inferred_s,
         };
-        record_refresh_metrics(&stats);
+        record_refresh_metrics(&stats, &self.inferred);
         RefreshOutcome { stats, selection_dirty }
     }
 
@@ -649,8 +690,16 @@ impl LoopState {
             )
         });
         self.pg = pg;
-        let (inferred, inferred_s) =
-            time_stage("inferred_sets", || inferred_sets_dijkstra(&self.pg, self.tau, par));
+        let ((inferred, settled_vertices), inferred_s) = time_stage("inferred_sets", || {
+            let mut inferred = inferred_sets_dijkstra(&self.pg, self.tau, par);
+            let settled = inferred.total_size();
+            for (i, &e) in self.eligible.iter().enumerate() {
+                if !e {
+                    inferred.set_row(PairId::from_index(i), Vec::new());
+                }
+            }
+            (inferred, settled)
+        });
         self.inferred = inferred;
         // The incremental caches no longer mirror the artifacts; force
         // the next incremental refresh (if any) to rebuild.
@@ -669,12 +718,12 @@ impl LoopState {
             dirty_components: ctx.components.len(),
             retired_components: self.retired_count,
             recomputed_sources: n,
-            settled_vertices: self.inferred.total_size(),
+            settled_vertices,
             consistency_s,
             propagation_s,
             inferred_s,
         };
-        record_refresh_metrics(&stats);
+        record_refresh_metrics(&stats, &self.inferred);
         RefreshOutcome { stats, selection_dirty: (0..ctx.components.len()).collect() }
     }
 
@@ -709,14 +758,30 @@ impl LoopState {
     /// Asserts the incremental artifacts are bit-identical to
     /// [`rebuild_reference`](Self::rebuild_reference) on every slice the
     /// pipeline reads: all labels, all vertices of non-retired
-    /// components, and all eligible Dijkstra sources. Returns a
-    /// description of the first divergence found.
+    /// components, and the inferred-set ids of all eligible Dijkstra
+    /// sources; that no other source keeps an inferred set; and that the
+    /// entry count matches the rows. Returns a description of the first
+    /// divergence found.
     pub fn check_reference(
         &self,
         ctx: &PropagationContext<'_>,
         par: &Parallelism,
     ) -> Result<(), String> {
         let (cons, pg, inferred) = self.rebuild_reference(ctx, par);
+        let mut live = 0;
+        for v in ctx.candidates.ids() {
+            let row = self.inferred.inferred(v);
+            if !self.eligible[v.index()] && !row.is_empty() {
+                return Err(format!("inferred set of resolved {v:?} was not freed: {row:?}"));
+            }
+            live += row.len();
+        }
+        if live != self.inferred.total_size() {
+            return Err(format!(
+                "inferred sets hold {live} entries but count {}",
+                self.inferred.total_size()
+            ));
+        }
         for (label, _) in ctx.graph.labels() {
             let (got, want) = (self.cons.get(label), cons.get(label));
             if got != want {

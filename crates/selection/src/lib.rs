@@ -96,7 +96,7 @@ pub fn benefit(
     let mut not_covered = vec![1.0f64; n];
     for &q in questions {
         let pq = priors[q.index()];
-        for &(p, _) in inferred.inferred(q) {
+        for &p in inferred.inferred(q) {
             if eligible[p.index()] {
                 not_covered[p.index()] *= 1.0 - pq;
             }
@@ -157,8 +157,8 @@ pub fn select_questions(
         pq * inferred
             .inferred(q)
             .iter()
-            .filter(|&&(p, _)| eligible[p.index()])
-            .map(|&(p, _)| not_covered[p.index()])
+            .filter(|&&p| eligible[p.index()])
+            .map(|&p| not_covered[p.index()])
             .sum::<f64>()
     };
 
@@ -190,7 +190,7 @@ pub fn select_questions(
         }
         // Fresh top entry: select it.
         let pq = priors[top.question.index()];
-        for &(p, _) in inferred.inferred(top.question) {
+        for &p in inferred.inferred(top.question) {
             if eligible[p.index()] {
                 not_covered[p.index()] *= 1.0 - pq;
             }
@@ -224,8 +224,8 @@ pub fn select_questions_naive(
                     * inferred
                         .inferred(q)
                         .iter()
-                        .filter(|&&(p, _)| eligible[p.index()])
-                        .map(|&(p, _)| not_covered[p.index()])
+                        .filter(|&&p| eligible[p.index()])
+                        .map(|&p| not_covered[p.index()])
                         .sum::<f64>();
                 (i, g)
             })
@@ -242,7 +242,7 @@ pub fn select_questions_naive(
         }
         let q = remaining.swap_remove(best_idx);
         let pq = priors[q.index()];
-        for &(p, _) in inferred.inferred(q) {
+        for &p in inferred.inferred(q) {
             if eligible[p.index()] {
                 not_covered[p.index()] *= 1.0 - pq;
             }
@@ -262,7 +262,7 @@ pub fn max_inf_questions(
     par: &Parallelism,
 ) -> Vec<PairId> {
     let mut scored: Vec<(usize, PairId)> = par.par_map(candidates, |&q| {
-        let size = inferred.inferred(q).iter().filter(|&&(p, _)| eligible[p.index()]).count();
+        let size = inferred.inferred(q).iter().filter(|&&p| eligible[p.index()]).count();
         (size, q)
     });
     scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
@@ -336,8 +336,8 @@ pub fn component_sequence(
                 pq * inferred
                     .inferred(q)
                     .iter()
-                    .filter(|&&(p, _)| eligible[p.index()])
-                    .map(|&(p, _)| not_covered[components.position_of(p)])
+                    .filter(|&&p| eligible[p.index()])
+                    .map(|&p| not_covered[components.position_of(p)])
                     .sum::<f64>()
             };
             let mut heap: BinaryHeap<Entry> = cands
@@ -358,7 +358,7 @@ pub fn component_sequence(
                     continue;
                 }
                 let pq = priors[top.question.index()];
-                for &(p, _) in inferred.inferred(top.question) {
+                for &p in inferred.inferred(top.question) {
                     if eligible[p.index()] {
                         let slot = components.position_of(p);
                         scratch[slot] *= 1.0 - pq;
@@ -378,7 +378,7 @@ pub fn component_sequence(
                 .iter()
                 .map(|&q| {
                     let size =
-                        inferred.inferred(q).iter().filter(|&&(p, _)| eligible[p.index()]).count();
+                        inferred.inferred(q).iter().filter(|&&p| eligible[p.index()]).count();
                     (size, q)
                 })
                 .collect();
@@ -544,7 +544,7 @@ impl ComponentSelector {
                 }
                 let reachable = components.members(c).iter().any(|&q| {
                     eligible[q.index()]
-                        && inferred.inferred(q).iter().any(|&(p, _)| p != q && eligible[p.index()])
+                        && inferred.inferred(q).iter().any(|&p| p != q && eligible[p.index()])
                 });
                 let sequence = component_sequence(
                     strategy, components, c, inferred, priors, eligible, self.cap, scratch,

@@ -17,7 +17,7 @@ use remp::ergraph::{generate_candidates, ErGraph};
 use remp::kb::{Kb, KbBuilder, Value};
 use remp::par::Parallelism;
 use remp::propagation::{
-    inferred_sets_dijkstra, Consistency, ConsistencyTable, ProbErGraph, PropagationConfig,
+    inferred_probabilities, Consistency, ConsistencyTable, ProbErGraph, PropagationConfig,
 };
 
 /// Builds one side of Fig. 1. The two KBs use different relationship
@@ -84,16 +84,17 @@ fn main() {
         &Parallelism::Auto,
     );
 
-    // Stage 3: what would one labeled match infer? (τ = 0.9)
-    let inferred = inferred_sets_dijkstra(&pg, 0.9, &Parallelism::Auto);
+    // Stage 3: what would one labeled match infer? (τ = 0.9) The
+    // one-source call returns `inferred(tim)` with each Pr[m_p | m_tim].
     let tim = candidates
         .iter()
         .find(|&(_, (u1, _))| yago.label(u1) == "Tim Robbins")
         .map(|(id, _)| id)
         .expect("Tim pair is a candidate");
+    let inferred = inferred_probabilities(&pg, 0.9, tim);
 
     println!("\nlabeling (y:Tim Robbins ≃ d:Tim Robbins) infers:");
-    for &(p, prob) in inferred.inferred(tim) {
+    for &(p, prob) in &inferred {
         let (u1, u2) = candidates.pair(p);
         println!(
             "  Pr[{:>16} ≃ {:<16}] = {:.3}",
@@ -105,7 +106,7 @@ fn main() {
 
     // The headline of the paper's introduction: the inference crosses
     // entity types — person → movie → person → city.
-    let reaches_city = inferred.inferred(tim).iter().any(|&(p, _)| {
+    let reaches_city = inferred.iter().any(|&(p, _)| {
         let (u1, _) = candidates.pair(p);
         yago.label(u1) == "New York City"
     });

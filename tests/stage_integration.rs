@@ -8,7 +8,9 @@ use remp::ergraph::{
     AttrMatchConfig,
 };
 use remp::par::Parallelism;
-use remp::propagation::{inferred_sets_dijkstra, ConsistencyTable, ProbErGraph};
+use remp::propagation::{
+    inferred_probabilities, inferred_sets_dijkstra, ConsistencyTable, ProbErGraph,
+};
 use remp::selection::{benefit, select_questions};
 
 /// Stage tests run under the config's policy (`Auto`), so the CI
@@ -128,14 +130,16 @@ fn propagation_stack_builds_consistent_probabilistic_graph() {
             assert!((0.0..=1.0).contains(&p));
         }
     }
-    // Inferred sets respect τ and include self.
+    // Inferred sets respect τ and include self, and the one-source
+    // probability call names exactly the ids of the all-sources sets.
     let inf = inferred_sets_dijkstra(&pg, config.tau, &par());
     for v in prep.candidates.ids() {
-        let set = inf.inferred(v);
+        let set = inferred_probabilities(&pg, config.tau, v);
         assert!(set.iter().any(|&(p, pr)| p == v && (pr - 1.0).abs() < 1e-12));
-        for &(_, pr) in set {
+        for &(_, pr) in &set {
             assert!(pr >= config.tau - 1e-9);
         }
+        assert!(set.iter().map(|&(p, _)| p).eq(inf.inferred(v).iter().copied()));
     }
 }
 
