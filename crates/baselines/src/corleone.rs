@@ -14,7 +14,8 @@ use rand::SeedableRng;
 
 use remp_crowd::{infer_truth, LabelSource, TruthConfig, Verdict};
 use remp_ergraph::{Candidates, PairId};
-use remp_forest::{ForestConfig, RandomForest};
+use remp_forest::{DistinctRows, ForestConfig, RandomForest};
+use remp_par::Parallelism;
 use remp_simil::SimVec;
 
 use crate::BaselineOutcome;
@@ -70,7 +71,10 @@ pub fn corleone(
     if n == 0 {
         return BaselineOutcome { matches: Vec::new(), questions: 0 };
     }
-    let features: Vec<Vec<f64>> = (0..n).map(|i| sim_vectors[i].components().to_vec()).collect();
+    // Every candidate's similarity vector, interned: the forest scores
+    // each distinct vector once per round.
+    let mut rows = DistinctRows::new(sim_vectors[0].len());
+    let row_of: Vec<u32> = sim_vectors[..n].iter().map(|v| rows.intern(v.components())).collect();
 
     let mut labeled: Vec<Option<bool>> = vec![None; n];
     let mut questions = 0usize;
@@ -103,17 +107,19 @@ pub fn corleone(
         }
     }
 
-    let mut forest: Option<RandomForest> = None;
+    // The last forest's probability for each distinct row.
+    let mut proba: Option<Vec<f64>> = None;
     let mut explore_rng = StdRng::seed_from_u64(config.seed);
     for _ in 0..config.max_rounds {
         if questions >= config.max_questions {
             break;
         }
         // Train on everything labeled so far.
-        let (train_x, train_y): (Vec<Vec<f64>>, Vec<bool>) = labeled
+        let mut train_rows = DistinctRows::new(rows.n_features());
+        let (train_x, train_y): (Vec<u32>, Vec<bool>) = labeled
             .iter()
             .enumerate()
-            .filter_map(|(i, l)| l.map(|y| (features[i].clone(), y)))
+            .filter_map(|(i, l)| l.map(|y| (train_rows.intern(rows.row(row_of[i] as usize)), y)))
             .unzip();
         if train_y.iter().all(|&y| y) || !train_y.iter().any(|&y| y) {
             // Only one class labeled: ask more extremes.
@@ -126,19 +132,23 @@ pub fn corleone(
                 None => break,
             }
         }
-        let rf = RandomForest::fit(&train_x, &train_y, &config.forest);
+        let rf = RandomForest::fit_par(
+            &train_rows,
+            &train_x,
+            &train_y,
+            &config.forest,
+            &Parallelism::Sequential,
+        );
+        let round_proba = rf.predict_proba_rows(&rows);
 
         // Most uncertain unlabeled pairs.
         let mut uncertain: Vec<(f64, PairId)> = candidates
             .ids()
             .filter(|&p| labeled[p.index()].is_none())
-            .map(|p| {
-                let proba = rf.predict_proba(&features[p.index()]);
-                ((proba - 0.5).abs(), p)
-            })
+            .map(|p| ((round_proba[row_of[p.index()] as usize] - 0.5).abs(), p))
             .filter(|&(dist, _)| dist < config.uncertainty_band)
             .collect();
-        forest = Some(rf);
+        proba = Some(round_proba);
         let explore_n =
             ((config.batch_size as f64) * config.exploration.clamp(0.0, 1.0)).round() as usize;
         let exploit_n = config.batch_size.saturating_sub(explore_n);
@@ -177,7 +187,7 @@ pub fn corleone(
     for p in candidates.ids() {
         let is_match = match labeled[p.index()] {
             Some(y) => y,
-            None => forest.as_ref().map(|rf| rf.predict(&features[p.index()])).unwrap_or(false),
+            None => proba.as_ref().is_some_and(|proba| proba[row_of[p.index()] as usize] > 0.5),
         };
         if is_match {
             matches.push(candidates.pair(p));

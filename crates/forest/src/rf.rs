@@ -3,8 +3,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cart::bootstrap_indices;
-use crate::{DecisionTree, TreeConfig};
+use crate::cart::{Sample, Weight};
+use crate::{DecisionTree, DistinctRows, TreeConfig};
 
 /// Forest parameters mirroring scikit-learn's defaults.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,32 +31,43 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits the forest: each tree trains on a bootstrap resample with `√d`
-    /// features per split (unless overridden in `config.tree`).
+    /// Fits the forest on `samples[i]` with label `labels[i]`: each tree
+    /// trains on a bootstrap resample with `√d` features per split
+    /// (unless overridden in `config.tree`).
     ///
     /// # Panics
     /// Panics on empty input or ragged feature matrices.
     pub fn fit(samples: &[Vec<f64>], labels: &[bool], config: &ForestConfig) -> RandomForest {
-        RandomForest::fit_par(samples, labels, config, &remp_par::Parallelism::Sequential)
+        assert!(!samples.is_empty(), "cannot fit on empty data");
+        let mut rows = DistinctRows::new(samples[0].len());
+        let ids: Vec<u32> = samples.iter().map(|x| rows.intern(x)).collect();
+        RandomForest::fit_par(&rows, &ids, labels, config, &remp_par::Parallelism::Sequential)
     }
 
-    /// [`RandomForest::fit`] on a worker pool: the master RNG draws every
-    /// bootstrap and per-tree seed *sequentially* (preserving the exact
-    /// random stream of the sequential fit), then the expensive tree fits
-    /// run data-parallel — the resulting forest is bit-identical in every
-    /// [`remp_par::Parallelism`] mode.
+    /// Fits the forest on samples given as row ids: sample `i` has the
+    /// features `rows.row(samples[i])` and the label `labels[i]`.
+    ///
+    /// The master RNG draws every bootstrap index and per-tree seed
+    /// *sequentially*, exactly as a fit on one cloned row per draw would.
+    /// Each tree then counts its draws per distinct row and label instead
+    /// of cloning rows, and grows data-parallel on the weighted rows (see
+    /// the crate docs for why that is exact). The forest is bit-identical
+    /// in every [`remp_par::Parallelism`] mode. Rows of `rows` no sample
+    /// uses cost an empty count per tree, so `rows` should hold the
+    /// training rows only.
     ///
     /// # Panics
-    /// Panics on empty input or ragged feature matrices.
+    /// Panics on empty input or a sample id outside `rows`.
     pub fn fit_par(
-        samples: &[Vec<f64>],
+        rows: &DistinctRows,
+        samples: &[u32],
         labels: &[bool],
         config: &ForestConfig,
         par: &remp_par::Parallelism,
     ) -> RandomForest {
         assert!(!samples.is_empty(), "cannot fit on empty data");
-        assert_eq!(samples.len(), labels.len());
-        let d = samples[0].len();
+        assert_eq!(samples.len(), labels.len(), "one label per sample");
+        let d = rows.n_features();
         let tree_config = TreeConfig {
             max_features: config
                 .tree
@@ -66,17 +77,20 @@ impl RandomForest {
         };
 
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let draws: Vec<(Vec<usize>, u64)> = (0..config.n_trees.max(1))
-            .map(|_| {
-                let idx = bootstrap_indices(samples.len(), &mut rng);
-                (idx, rng.gen())
-            })
+        let m = samples.len();
+        assert!(u32::try_from(m).is_ok(), "at most u32::MAX samples");
+        let draws: Vec<(Vec<u32>, u64)> = (0..config.n_trees.max(1))
+            .map(|_| ((0..m).map(|_| rng.gen_range(0..m) as u32).collect(), rng.gen()))
             .collect();
-        let trees = par.par_map(&draws, |(idx, tree_seed)| {
-            let boot_x: Vec<Vec<f64>> = idx.iter().map(|&i| samples[i].clone()).collect();
-            let boot_y: Vec<bool> = idx.iter().map(|&i| labels[i]).collect();
+        let trees = par.par_map(&draws, |(drawn, tree_seed)| {
+            let draws = drawn.iter().map(|&i| (samples[i as usize], labels[i as usize]));
+            let weights = Weight::tally(rows.len(), draws);
             let mut tree_rng = StdRng::seed_from_u64(*tree_seed);
-            DecisionTree::fit(&boot_x, &boot_y, &tree_config, &mut tree_rng)
+            DecisionTree::fit_sample(
+                Sample { rows, weights: &weights },
+                &tree_config,
+                &mut tree_rng,
+            )
         });
         RandomForest { trees }
     }
@@ -84,6 +98,13 @@ impl RandomForest {
     /// Mean positive-class probability across trees.
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
         self.trees.iter().map(|t| t.predict_proba(x)).sum::<f64>() / self.trees.len() as f64
+    }
+
+    /// [`predict_proba`](Self::predict_proba) of every row of `rows`, in
+    /// id order: each distinct vector walks the trees once, however many
+    /// pairs share it.
+    pub fn predict_proba_rows(&self, rows: &DistinctRows) -> Vec<f64> {
+        (0..rows.len()).map(|id| self.predict_proba(rows.row(id))).collect()
     }
 
     /// Majority-vote classification at probability 0.5.
@@ -100,9 +121,44 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cart::tests::{duplicated_data, limit};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use remp_par::Parallelism;
+
+    /// The forest fit before it moved to distinct rows, verbatim but for
+    /// the row-wise tree fit it calls: every bootstrap draw clones its
+    /// row. It is the reference [`fit_par`](RandomForest::fit_par) must equal.
+    fn fit_rowwise(samples: &[Vec<f64>], labels: &[bool], config: &ForestConfig) -> RandomForest {
+        let d = samples[0].len();
+        let tree_config = TreeConfig {
+            max_features: config
+                .tree
+                .max_features
+                .or_else(|| Some(((d as f64).sqrt().round() as usize).max(1))),
+            ..config.tree
+        };
+
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let draws: Vec<(Vec<usize>, u64)> = (0..config.n_trees.max(1))
+            .map(|_| {
+                let idx: Vec<usize> =
+                    (0..samples.len()).map(|_| rng.gen_range(0..samples.len())).collect();
+                (idx, rng.gen())
+            })
+            .collect();
+        let trees = draws
+            .iter()
+            .map(|(idx, tree_seed)| {
+                let boot_x: Vec<Vec<f64>> = idx.iter().map(|&i| samples[i].clone()).collect();
+                let boot_y: Vec<bool> = idx.iter().map(|&i| labels[i]).collect();
+                let mut tree_rng = StdRng::seed_from_u64(*tree_seed);
+                DecisionTree::fit_rowwise(&boot_x, &boot_y, &tree_config, &mut tree_rng)
+            })
+            .collect();
+        RandomForest { trees }
+    }
 
     fn small_config() -> ForestConfig {
         ForestConfig { n_trees: 25, ..ForestConfig::default() }
@@ -159,6 +215,59 @@ mod tests {
         let ys = vec![false, true];
         let rf = RandomForest::fit(&xs, &ys, &ForestConfig { n_trees: 7, ..Default::default() });
         assert_eq!(rf.num_trees(), 7);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The forest grown on distinct rows equals the row-wise reference
+        /// tree for tree, and so scores every query bit for bit, on one
+        /// thread and on three.
+        #[test]
+        fn distinct_row_forest_equals_the_rowwise_reference(
+            seed in any::<u64>(),
+            n_base in 1usize..7,
+            n_rows in 1usize..60,
+            d in 1usize..5,
+            max_depth in 0usize..5,
+            min_samples_split in 0usize..7,
+            query in 0.0f64..1.0,
+        ) {
+            let (xs, ys) = duplicated_data(seed, n_base, n_rows, d);
+            let config = ForestConfig {
+                n_trees: 9,
+                tree: TreeConfig {
+                    max_depth: limit(max_depth),
+                    min_samples_split,
+                    ..TreeConfig::default()
+                },
+                seed,
+            };
+            let reference = fit_rowwise(&xs, &ys, &config);
+            let mut rows = DistinctRows::new(d);
+            let ids: Vec<u32> = xs.iter().map(|x| rows.intern(x)).collect();
+            let mut queries = xs.clone();
+            queries.push(vec![query; d]);
+            for par in [Parallelism::Sequential, Parallelism::Fixed(3)] {
+                let forest = RandomForest::fit_par(&rows, &ids, &ys, &config, &par);
+                prop_assert_eq!(forest.trees.len(), reference.trees.len());
+                for (tree, want) in forest.trees.iter().zip(&reference.trees) {
+                    prop_assert_eq!(tree.node_bits(), want.node_bits());
+                }
+                for x in &queries {
+                    prop_assert_eq!(
+                        forest.predict_proba(x).to_bits(),
+                        reference.predict_proba(x).to_bits()
+                    );
+                }
+                let by_row = forest.predict_proba_rows(&rows);
+                for (x, &id) in xs.iter().zip(&ids) {
+                    prop_assert_eq!(
+                        by_row[id as usize].to_bits(),
+                        reference.predict_proba(x).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     proptest! {

@@ -62,8 +62,8 @@ pub const OBS_ENV: &str = "REMP_OBS";
 /// the CI scrape gate to agree on.
 pub mod names {
     /// Histogram: wall-clock seconds per pipeline/session stage
-    /// (`stage` label; the nine pipeline stages plus `submit` and
-    /// `finalize`).
+    /// (`stage` label; the nine pipeline stages, `submit`, `finalize`
+    /// and `classifier`).
     pub const STAGE_SECONDS: &str = "remp_stage_seconds";
     /// Counter: propagation refreshes, by `mode` (`incremental`/`full`).
     pub const LOOPS_TOTAL: &str = "remp_loops_total";
@@ -82,6 +82,9 @@ pub mod names {
     /// Gauge: live inferred-set entries (pair ids) after the last
     /// propagation refresh.
     pub const INFERRED_ENTRIES: &str = "remp_inferred_entries";
+    /// Gauge: distinct feature vectors in the isolated-pair classifier's
+    /// last run, by `set` (`training`/`targets`).
+    pub const CLASSIFIER_DISTINCT_ROWS: &str = "remp_classifier_distinct_rows";
     /// Counter: crowd questions created by sessions.
     pub const QUESTIONS_ASKED_TOTAL: &str = "remp_questions_asked_total";
     /// Counter: answer sets submitted into sessions (completed

@@ -141,10 +141,14 @@ fn checkpoints_cross_between_modes() {
 /// digests captured on the `HashMap`/`BTreeMap` layout immediately
 /// before the dense-id refactor — one constant per preset × parallelism,
 /// the table `common::PINS` that `tests/parallel_equivalence.rs` also
-/// reads, because the engines are output-invisible.
+/// reads, because the engines are output-invisible. The checkpoint with
+/// half the first batch still open is held to `common::OPEN_PINS`.
 #[test]
 fn engine_outputs_pinned_to_pre_refactor_digests() {
-    for (dataset, &(name, seq_pin, par_pin)) in common::presets().iter().zip(common::PINS) {
+    let pins = common::PINS.iter().zip(common::OPEN_PINS);
+    for (dataset, (&(name, seq_pin, par_pin), &(_, seq_open, par_open))) in
+        common::presets().iter().zip(pins)
+    {
         assert_eq!(dataset.name, name, "preset order drifted under the pins");
         for incremental in [true, false] {
             let seq = common::observe_campaign(
@@ -159,6 +163,12 @@ fn engine_outputs_pinned_to_pre_refactor_digests() {
                 "{name}: sequential {} engine diverged from the pre-refactor outputs",
                 if incremental { "incremental" } else { "from-scratch" }
             );
+            assert_eq!(
+                common::open_checkpoint_digest(&seq),
+                seq_open,
+                "{name}: sequential {} engine's open checkpoint diverged from its pin",
+                if incremental { "incremental" } else { "from-scratch" }
+            );
             let par = common::observe_campaign(
                 dataset,
                 Parallelism::Fixed(4),
@@ -169,6 +179,12 @@ fn engine_outputs_pinned_to_pre_refactor_digests() {
                 common::campaign_digest(dataset, &par),
                 par_pin,
                 "{name}: Fixed(4) {} engine diverged from the pre-refactor outputs",
+                if incremental { "incremental" } else { "from-scratch" }
+            );
+            assert_eq!(
+                common::open_checkpoint_digest(&par),
+                par_open,
+                "{name}: Fixed(4) {} engine's open checkpoint diverged from its pin",
                 if incremental { "incremental" } else { "from-scratch" }
             );
         }

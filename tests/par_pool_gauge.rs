@@ -19,7 +19,8 @@ fn helper_threads_stay_at_the_largest_request_across_every_preset() {
     let gauge = || {
         obs::global().gauge(obs::names::PAR_HELPER_THREADS, "Persistent helper threads.", &[]).get()
     };
-    for (dataset, &(name, _, par_pin)) in common::presets().iter().zip(common::PINS) {
+    let pins = common::PINS.iter().zip(common::OPEN_PINS);
+    for (dataset, (&(name, _, par_pin), &(_, _, par_open))) in common::presets().iter().zip(pins) {
         let observed = common::observe_campaign(
             dataset,
             Parallelism::Fixed(4),
@@ -27,6 +28,7 @@ fn helper_threads_stay_at_the_largest_request_across_every_preset() {
             |_| {},
         );
         assert_eq!(common::campaign_digest(dataset, &observed), par_pin, "{name}: diverged");
+        assert_eq!(common::open_checkpoint_digest(&observed), par_open, "{name}: diverged");
         let helpers = gauge();
         assert!(
             (1.0..=3.0).contains(&helpers),

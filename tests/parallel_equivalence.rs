@@ -100,9 +100,15 @@ fn seeded_crowd_transcript_is_identical_across_thread_counts() {
 /// exact same question order, outcome, metrics and checkpoint JSON —
 /// the sequential and pooled constants differ only because the
 /// checkpoint embeds the parallelism config.
+///
+/// The checkpoint with half the first batch still open is held to
+/// `common::OPEN_PINS` in the same loop.
 #[test]
 fn outputs_pinned_to_pre_refactor_digests() {
-    for (dataset, &(name, seq_pin, par_pin)) in common::presets().iter().zip(common::PINS) {
+    let pins = common::PINS.iter().zip(common::OPEN_PINS);
+    for (dataset, (&(name, seq_pin, par_pin), &(_, seq_open, par_open))) in
+        common::presets().iter().zip(pins)
+    {
         assert_eq!(dataset.name, name, "preset order drifted under the pins");
         let seq = common::observe_campaign(
             dataset,
@@ -115,6 +121,11 @@ fn outputs_pinned_to_pre_refactor_digests() {
             seq_pin,
             "{name}: sequential campaign diverged from the pre-refactor outputs"
         );
+        assert_eq!(
+            common::open_checkpoint_digest(&seq),
+            seq_open,
+            "{name}: sequential checkpoint with open questions diverged from its pin"
+        );
         let par = common::observe_campaign(
             dataset,
             Parallelism::Fixed(4),
@@ -125,6 +136,11 @@ fn outputs_pinned_to_pre_refactor_digests() {
             common::campaign_digest(dataset, &par),
             par_pin,
             "{name}: Fixed(4) campaign diverged from the pre-refactor outputs"
+        );
+        assert_eq!(
+            common::open_checkpoint_digest(&par),
+            par_open,
+            "{name}: Fixed(4) checkpoint with open questions diverged from its pin"
         );
     }
 }
