@@ -16,16 +16,16 @@
 //!    embeds its sub-KBs, pairs, priors and gold).
 //! 4. [`process_shard`] — one shard, end to end: rebuild the ER graph,
 //!    drive the crowd loop, emit a [`ShardResult`].
-//! 5. [`Coordinator`] — lease-based shard assignment with heartbeats,
-//!    driving separate `rempctl shard-worker` processes; results merge
-//!    in shard order, so the outcome is identical for any worker count
-//!    (see `SHARDING.md` for the determinism contract).
+//! 5. [`merge_results`] — shard results merge in shard order, so the
+//!    outcome is identical for any worker count. The lease-based
+//!    coordinator that hands shards to `rempctl shard-worker` processes
+//!    is `rempd`'s `/scale` routes in remp-serve (see `SHARDING.md` for
+//!    the protocol and the determinism contract).
 //! 6. [`run_sharded_local`] — the in-process reference executor the
 //!    equivalence tests pin the multi-process path against.
 
 pub mod bench;
 pub mod blocking;
-pub mod coord;
 pub mod generate;
 pub mod plan;
 pub mod runner;
@@ -35,7 +35,6 @@ pub mod worker;
 
 pub use bench::{run_scale_bench, ScaleBenchOptions, ScaleBenchReport};
 pub use blocking::{stream_candidates, BlockingStats};
-pub use coord::{Coordinator, CoordinatorStatus, ShardState, DEFAULT_LEASE_MS};
 pub use generate::{generate_dataset, GenerateReport, KbSide, World};
 pub use plan::{
     plan_shards, shard_cap, write_campaign, CampaignManifest, CrowdSpec, PlanMode, ShardPlan,

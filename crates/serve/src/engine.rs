@@ -26,6 +26,7 @@ use remp_core::{Question, QuestionId, RempOutcome, RempSession};
 use remp_crowd::{Label, Verdict, WorkerQualityEstimator, WorkerRecord};
 use remp_obs::Counter;
 
+use crate::lease::{check_lease_ms, Leases};
 use crate::wire::{ServeError, SubmittedRecord};
 
 /// Crowd-facing policy of one campaign.
@@ -38,8 +39,8 @@ pub struct CrowdPolicy {
     pub qualification: f64,
     /// Pseudo-count weight of the qualification in the online estimate.
     pub quality_weight: f64,
-    /// Lease lifetime in milliseconds; an unanswered lease expires and
-    /// the slot is re-issued.
+    /// Lease lifetime in milliseconds, at least 1; an unanswered lease
+    /// expires and the slot is re-issued.
     pub lease_ms: u64,
 }
 
@@ -67,7 +68,7 @@ impl CrowdPolicy {
                 format!("quality_weight {} must be positive", self.quality_weight),
             ));
         }
-        Ok(())
+        check_lease_ms(self.lease_ms)
     }
 }
 
@@ -111,8 +112,8 @@ struct OpenSlot {
     question: Question,
     /// `(worker, says_match)` in arrival order.
     answers: Vec<(String, bool)>,
-    /// `(worker, expiry_ms)` of live leases.
-    leases: Vec<(String, u64)>,
+    /// Workers holding a lease on this question.
+    leases: Leases,
     /// Leases on this question that expired unanswered.
     expired: u64,
     /// Expired leases already covered by a replacement lease.
@@ -121,7 +122,14 @@ struct OpenSlot {
 
 impl OpenSlot {
     fn new(question: Question) -> OpenSlot {
-        OpenSlot { question, answers: Vec::new(), leases: Vec::new(), expired: 0, reissued: 0 }
+        let leases = Leases::default();
+        OpenSlot { question, answers: Vec::new(), leases, expired: 0, reissued: 0 }
+    }
+
+    /// Whether `worker` answered this question or holds a live lease on
+    /// it — either way the question is not theirs to take again.
+    fn engages(&self, worker: &str, now_ms: u64) -> bool {
+        self.answers.iter().any(|(w, _)| w == worker) || self.leases.holds(worker, now_ms)
     }
 }
 
@@ -318,9 +326,7 @@ impl<'a> CampaignEngine<'a> {
 
     fn prune_leases(&mut self, now_ms: u64) {
         for slot in &mut self.open {
-            let before = slot.leases.len();
-            slot.leases.retain(|&(_, expiry)| expiry > now_ms);
-            let dropped = (before - slot.leases.len()) as u64;
+            let dropped = slot.leases.prune(now_ms) as u64;
             slot.expired += dropped;
             self.leases.expired.add(dropped);
         }
@@ -344,14 +350,11 @@ impl<'a> CampaignEngine<'a> {
         self.estimator.register(worker);
         let per_question = self.policy.per_question;
         let Some(slot) = self.open.iter_mut().find(|slot| {
-            slot.answers.len() + slot.leases.len() < per_question
-                && !slot.answers.iter().any(|(w, _)| w == worker)
-                && !slot.leases.iter().any(|(w, _)| w == worker)
+            slot.answers.len() + slot.leases.len() < per_question && !slot.engages(worker, now_ms)
         }) else {
             return Ok(None);
         };
-        let deadline_ms = now_ms.saturating_add(self.policy.lease_ms);
-        slot.leases.push((worker.to_owned(), deadline_ms));
+        let deadline_ms = slot.leases.grant(worker, now_ms, self.policy.lease_ms);
         self.leases.issued.inc();
         if slot.reissued < slot.expired {
             // This grant covers one of the slot's expired leases.
@@ -398,15 +401,14 @@ impl<'a> CampaignEngine<'a> {
                 format!("worker {worker:?} already answered question {id}"),
             ));
         }
-        let Some(lease_idx) = slot.leases.iter().position(|(w, _)| w == worker) else {
+        if !slot.leases.release(worker) {
             return Err(ServeError::conflict(
                 "no_lease",
                 format!(
                     "worker {worker:?} holds no live lease on question {id} (expired or never issued)"
                 ),
             ));
-        };
-        slot.leases.remove(lease_idx);
+        }
         slot.answers.push((worker.to_owned(), says_match));
         let collected = slot.answers.len();
         let required = self.policy.per_question;
@@ -476,9 +478,8 @@ impl<'a> CampaignEngine<'a> {
         }
         self.estimator.register(worker);
         if let Some(slot) = self.open.iter_mut().find(|s| s.question.id == id) {
-            if !slot.leases.iter().any(|(w, _)| w == worker) {
-                let deadline = now_ms.saturating_add(self.policy.lease_ms.max(1));
-                slot.leases.push((worker.to_owned(), deadline));
+            if !slot.leases.holds(worker, now_ms) {
+                slot.leases.grant(worker, now_ms, self.policy.lease_ms);
             }
         }
         let result = self.answer(worker, id, says_match, now_ms);
@@ -492,7 +493,15 @@ impl<'a> CampaignEngine<'a> {
     /// without a new answer arriving — what the server's long-poll
     /// dispatcher uses to schedule a re-check.
     pub fn earliest_lease_deadline(&self) -> Option<u64> {
-        self.open.iter().flat_map(|s| s.leases.iter().map(|&(_, expiry)| expiry)).min()
+        self.open.iter().filter_map(|s| s.leases.earliest_deadline()).min()
+    }
+
+    /// Whether `worker` holds a live lease on, or has answered, open
+    /// question `id` at `now_ms` — the two reasons [`next_for`](Self::next_for)
+    /// passes a question by for that worker. `false` for a question
+    /// that is not open. Read-only: prunes nothing and counts nothing.
+    pub fn is_engaged(&self, worker: &str, id: QuestionId, now_ms: u64) -> bool {
+        self.open.iter().find(|s| s.question.id == id).is_some_and(|s| s.engages(worker, now_ms))
     }
 
     /// Current open questions (refilling from the session if needed),

@@ -20,6 +20,8 @@
 //! * [`wire`] — the JSON protocol: typed [`wire::ServeError`]s (every
 //!   malformed input is a 4xx, duplicate submits are 409), request
 //!   accessors and response encoders. Documented in `PROTOCOL.md`.
+//! * `lease` — the one lease rule (saturating deadlines, live iff the
+//!   deadline is after `now`) behind both question and shard leases.
 //! * [`engine`] — per-campaign assignment/aggregation:
 //!   [`engine::CampaignEngine`] leases each open question to
 //!   `per_question` distinct workers, expires and re-issues abandoned
@@ -34,9 +36,9 @@
 //!   folds the deltas into the base and replays the answers past them).
 //! * [`router`] — the route table: method + path template → handler,
 //!   declared as data.
-//! * [`scale`] — the `/scale` routes: `rempd` as the coordinator of a
-//!   sharded [`remp_scale`] campaign (lease-based shard assignment to
-//!   `rempctl shard-worker` processes, result merge).
+//! * [`scale`] — the `/scale` routes and the shard coordinator behind
+//!   them: `rempd` leases the shards of a sharded [`remp_scale`]
+//!   campaign to `rempctl shard-worker` processes and merges results.
 //! * [`server`] — the epoll keep-alive readiness loop, the long-poll
 //!   dispatcher and the handler pool (sized by
 //!   [`remp_par::Parallelism`]).
@@ -64,6 +66,7 @@ pub mod clock;
 mod delta;
 pub mod engine;
 pub mod http;
+mod lease;
 pub mod registry;
 pub mod router;
 pub mod scale;
@@ -76,7 +79,7 @@ pub use client::{ClientError, ServeClient};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use engine::{Assignment, CampaignEngine, CrowdPolicy, LeaseCounters, LeaseStats};
 pub use registry::{CampaignNotifier, CampaignRequest, CampaignSource, CampaignSpec, Registry};
-pub use scale::ScaleJobs;
+pub use scale::{ScaleJobs, DEFAULT_LEASE_MS};
 pub use server::{Server, ServerConfig};
 pub use sim::{drive, drive_n, reference_outcome, CrowdParams, WireCrowd};
 pub use wire::{outcome_matches, ServeError, SubmittedRecord};

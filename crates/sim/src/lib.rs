@@ -13,7 +13,8 @@
 //! [`CampaignEngine`](remp_serve::CampaignEngine) end to end on
 //! **virtual time**: one tick is one millisecond of the lease clock, so
 //! lease expiry and re-issue happen deterministically with no sleeps
-//! anywhere.
+//! anywhere. The simulator reads the engine's own lease table to decide
+//! which worker may take which question; it mirrors none of it.
 //!
 //! Guarantees:
 //!

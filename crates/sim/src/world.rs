@@ -8,6 +8,11 @@
 //! `StdRng` seeded by the scenario, which is what makes replay
 //! bit-identical.
 //!
+//! **One lease table.** Whether a worker holds a live lease on, or has
+//! answered, a question is asked of the engine itself
+//! ([`CampaignEngine::is_engaged`]); the simulator keeps no copy of the
+//! engine's leases, so it cannot drift from the engine's expiry rule.
+//!
 //! **Reference equivalence.** The assignment loop is deliberately the
 //! same sampling process as [`WireCrowd`](remp_serve::WireCrowd):
 //! repeatedly draw a uniform worker index and *consume the draw* when
@@ -21,7 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use remp_core::{evaluate_matches, Question, QuestionId, Remp, RempConfig};
+use remp_core::{evaluate_matches, QuestionId, Remp, RempConfig};
 use remp_datasets::{generate, preset_by_name, GeneratedDataset};
 use remp_par::Parallelism;
 use remp_serve::wire::verdict_code;
@@ -89,15 +94,6 @@ struct Pending {
     due: u64,
 }
 
-/// The simulator's view of one open question: which workers answered
-/// and which hold live leases (the engine only exposes counts).
-struct MirrorSlot {
-    id: QuestionId,
-    answered: Vec<usize>,
-    /// `(worker, deadline)`; pruned with the engine's `expiry > now`.
-    leases: Vec<(usize, u64)>,
-}
-
 struct World<'a, 'kb> {
     scenario: &'a Scenario,
     d: &'a GeneratedDataset,
@@ -105,7 +101,6 @@ struct World<'a, 'kb> {
     rng: StdRng,
     workers: Vec<SimWorker>,
     pending: Vec<Pending>,
-    mirror: Vec<MirrorSlot>,
     events: Vec<TraceEvent>,
     delivered: u64,
     rejected: u64,
@@ -182,7 +177,6 @@ impl<'a, 'kb> World<'a, 'kb> {
             rng,
             workers,
             pending: Vec::new(),
-            mirror: Vec::new(),
             events: Vec::new(),
             delivered: 0,
             rejected: 0,
@@ -283,7 +277,7 @@ impl<'a, 'kb> World<'a, 'kb> {
         Ok(())
     }
 
-    /// Hands one answer to the engine and mirrors the effect. Late
+    /// Hands one answer to the engine and records the effect. Late
     /// answers (lease expired, question re-closed) become typed
     /// `Reject` events — the engine's 4xx is simulation data, not an
     /// error.
@@ -301,24 +295,15 @@ impl<'a, 'kb> World<'a, 'kb> {
                     tick,
                     kind: EventKind::Answer { worker, question: p.question.0, says: p.says },
                 });
-                match ack.submitted {
-                    Some(sub) => {
-                        self.events.push(TraceEvent {
-                            tick,
-                            kind: EventKind::Submit {
-                                question: p.question.0,
-                                verdict: verdict_code(sub.verdict).to_owned(),
-                                propagated: sub.propagated,
-                            },
-                        });
-                        self.mirror.retain(|s| s.id != p.question);
-                    }
-                    None => {
-                        if let Some(slot) = self.mirror.iter_mut().find(|s| s.id == p.question) {
-                            slot.leases.retain(|&(w, _)| w != p.worker);
-                            slot.answered.push(p.worker);
-                        }
-                    }
+                if let Some(sub) = ack.submitted {
+                    self.events.push(TraceEvent {
+                        tick,
+                        kind: EventKind::Submit {
+                            question: p.question.0,
+                            verdict: verdict_code(sub.verdict).to_owned(),
+                            propagated: sub.propagated,
+                        },
+                    });
                 }
             }
             Err(e) if e.status == 409 || e.status == 404 => {
@@ -331,9 +316,6 @@ impl<'a, 'kb> World<'a, 'kb> {
                         code: e.code.to_owned(),
                     },
                 });
-                if let Some(slot) = self.mirror.iter_mut().find(|s| s.id == p.question) {
-                    slot.leases.retain(|&(w, _)| w != p.worker);
-                }
             }
             Err(e) => return Err(e.into()),
         }
@@ -349,23 +331,10 @@ impl<'a, 'kb> World<'a, 'kb> {
         let per_question = self.scenario.per_question;
         loop {
             let opens = self.engine.open_questions(tick)?;
-            self.reconcile(&opens, tick);
-            let mut target: Option<(usize, Question)> = None;
-            for (q, collected, leased) in &opens {
-                if collected + leased >= per_question {
-                    continue;
-                }
-                let m = self
-                    .mirror
-                    .iter()
-                    .position(|s| s.id == q.id)
-                    .expect("reconcile mirrors every open question");
-                if (0..self.workers.len()).any(|i| self.eligible(m, i)) {
-                    target = Some((m, q.clone()));
-                    break;
-                }
-            }
-            let Some((m, question)) = target else {
+            let Some((question, _, _)) = opens.into_iter().find(|(q, collected, leased)| {
+                collected + leased < per_question
+                    && (0..self.workers.len()).any(|i| self.eligible(i, q.id, tick))
+            }) else {
                 return Ok(());
             };
             let pool = self.workers.len();
@@ -376,7 +345,7 @@ impl<'a, 'kb> World<'a, 'kb> {
                     return Err(SimError::Engine("worker sampling diverged".into()));
                 }
                 let i = self.rng.gen_range(0..pool);
-                if self.eligible(m, i) {
+                if self.eligible(i, question.id, tick) {
                     break i;
                 }
             };
@@ -393,7 +362,6 @@ impl<'a, 'kb> World<'a, 'kb> {
                 )));
             }
             self.last_progress = tick;
-            self.mirror[m].leases.push((widx, assignment.deadline_ms));
             self.events.push(TraceEvent {
                 tick,
                 kind: EventKind::Lease { worker, question: question.id.0 },
@@ -423,26 +391,12 @@ impl<'a, 'kb> World<'a, 'kb> {
         }
     }
 
-    /// Syncs the mirror to the engine's open set and prunes leases with
-    /// the engine's own rule (`expiry > now`).
-    fn reconcile(&mut self, opens: &[(Question, usize, usize)], tick: u64) {
-        self.mirror.retain(|s| opens.iter().any(|(q, _, _)| q.id == s.id));
-        for (q, _, _) in opens {
-            if !self.mirror.iter().any(|s| s.id == q.id) {
-                self.mirror.push(MirrorSlot { id: q.id, answered: Vec::new(), leases: Vec::new() });
-            }
-        }
-        for slot in &mut self.mirror {
-            slot.leases.retain(|&(_, deadline)| deadline > tick);
-        }
-    }
-
-    fn eligible(&self, m: usize, i: usize) -> bool {
+    /// Whether worker `i` may take question `q` now: present, not
+    /// owing an answer, and — per the engine's own lease table —
+    /// neither answering nor having answered `q`.
+    fn eligible(&self, i: usize, q: QuestionId, tick: u64) -> bool {
         let w = &self.workers[i];
-        w.active
-            && !w.busy
-            && !self.mirror[m].answered.contains(&i)
-            && !self.mirror[m].leases.iter().any(|&(wi, _)| wi == i)
+        w.active && !w.busy && !self.engine.is_engaged(&w.name, q, tick)
     }
 
     fn draw_answer(&mut self, widx: usize, truth: bool) -> bool {

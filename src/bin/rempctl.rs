@@ -31,11 +31,11 @@ use remp_kb::EntityId;
 use remp_obs::{names, Exposition};
 use remp_scale::{
     generate_dataset, process_shard, run_scale_bench, run_sharded_local, write_campaign, CrowdSpec,
-    MergedOutcome, PlanMode, ScaleBenchOptions, ScaleSpec, DEFAULT_LEASE_MS,
+    MergedOutcome, PlanMode, ScaleBenchOptions, ScaleSpec,
 };
 use remp_serve::{
     drive, outcome_matches, reference_outcome, CrowdParams, CrowdPolicy, ServeClient, Server,
-    ServerConfig, WireCrowd,
+    ServerConfig, WireCrowd, DEFAULT_LEASE_MS,
 };
 use remp_sim::{preset, preset_names, Scenario, SimReport};
 

@@ -438,6 +438,31 @@ fn lease_expiry_reissues_questions_over_http() {
         .filter_map(|w| w.get("name").and_then(Json::as_str))
         .collect();
     assert_eq!(names, vec!["ghost", "w1"]);
+
+    // Part 3 — a zero lease would expire the moment it is granted, so
+    // no answer could ever land: campaigns and scale jobs refuse it.
+    let zero = server
+        .client
+        .post(
+            "/campaigns",
+            &Json::Obj(vec![
+                ("preset".into(), Json::from("TINY")),
+                ("lease_ms".into(), Json::from(0u64)),
+            ]),
+        )
+        .unwrap_err();
+    assert_eq!((zero.status(), zero.code()), (Some(400), Some("bad_policy")));
+    let zero = server
+        .client
+        .post(
+            "/scale/jobs",
+            &Json::Obj(vec![
+                ("dir".into(), Json::from("/nonexistent/scale-campaign")),
+                ("lease_ms".into(), Json::from(0u64)),
+            ]),
+        )
+        .unwrap_err();
+    assert_eq!((zero.status(), zero.code()), (Some(400), Some("bad_policy")));
     server.shutdown();
 }
 

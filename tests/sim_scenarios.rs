@@ -52,6 +52,25 @@ fn honest_preset_matches_the_reference_outcome() {
     assert_eq!(submits, reference);
 }
 
+/// Every built-in preset's trace at seed 42, pinned. Repeat-equality
+/// alone would pass a shifted RNG stream or a changed lease decision;
+/// these hashes catch both.
+#[test]
+fn preset_traces_are_pinned_at_seed_42() {
+    const PINS: [(&str, u64); 5] = [
+        ("honest", 0xab211f49637e2899),
+        ("spam-flood", 0x866f9557f783a7ee),
+        ("churn-storm", 0xe7bdf450dff0181e),
+        ("colluders", 0xe72fb57b502a30f3),
+        ("drift", 0xece64b9b7903c96a),
+    ];
+    assert_eq!(preset_names(), PINS.map(|(name, _)| name), "a preset without a pin");
+    for (name, pin) in PINS {
+        let report = run_scenario(&preset(name, 42).unwrap()).unwrap();
+        assert_eq!(report.trace_hash, pin, "{name}: trace hash {:#018x}", report.trace_hash);
+    }
+}
+
 /// Same seed + same scenario ⇒ the same report, bit for bit — across
 /// repeated runs and across pipeline thread counts.
 #[test]
