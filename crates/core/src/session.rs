@@ -181,6 +181,8 @@ impl LoopStat {
             ("retired_components".into(), Json::from(self.refresh.retired_components)),
             ("recomputed_sources".into(), Json::from(self.refresh.recomputed_sources)),
             ("settled_vertices".into(), Json::from(self.refresh.settled_vertices)),
+            ("cluster_searches".into(), Json::from(self.refresh.cluster_searches)),
+            ("fallback_sources".into(), Json::from(self.refresh.fallback_sources)),
             ("consistency_s".into(), Json::from(self.refresh.consistency_s)),
             ("propagation_s".into(), Json::from(self.refresh.propagation_s)),
             ("inferred_s".into(), Json::from(self.refresh.inferred_s)),

@@ -69,11 +69,18 @@ pub mod names {
     pub const LOOPS_TOTAL: &str = "remp_loops_total";
     /// Counter: vertices whose probabilistic edges were recomputed.
     pub const LOOP_DIRTY_VERTICES_TOTAL: &str = "remp_loop_dirty_vertices_total";
-    /// Counter: Dijkstra sources re-run by the incremental engine.
+    /// Counter: inferred sets recomputed by the incremental engine (one
+    /// per eligible source of a dirty component).
     pub const LOOP_RECOMPUTED_SOURCES_TOTAL: &str = "remp_loop_recomputed_sources_total";
-    /// Counter: vertices settled by the incremental engine's Dijkstra
-    /// runs (the summed length of the recomputed inferred sets).
+    /// Counter: inferred-set entries the incremental engine wrote (the
+    /// summed length of the recomputed inferred sets).
     pub const LOOP_SETTLED_VERTICES_TOTAL: &str = "remp_loop_settled_vertices_total";
+    /// Counter: condensed searches over clusters of near-zero edges, one
+    /// per cluster holding an eligible source.
+    pub const LOOP_CLUSTER_SEARCHES_TOTAL: &str = "remp_loop_cluster_searches_total";
+    /// Counter: sources of a cluster the rounding guard could not decide,
+    /// which ran their own search.
+    pub const LOOP_FALLBACK_SOURCES_TOTAL: &str = "remp_loop_fallback_sources_total";
     /// Counter: garbage collections of the probabilistic ER graph's
     /// edge arena.
     pub const PG_ARENA_COMPACTIONS_TOTAL: &str = "remp_pg_arena_compactions_total";

@@ -46,8 +46,8 @@
 //!    and ER adjacency is materialised in both orientations, so no
 //!    propagation path leaves a connected component
 //!    ([`remp_ergraph::ComponentIndex`]). A component is dirty when any
-//!    member's edge list changed; truncated Dijkstra re-runs from its
-//!    eligible members only.
+//!    member's edge list changed; only its eligible members' inferred
+//!    sets are recomputed.
 //! 4. **Retirement.** A component whose eligible (unresolved,
 //!    non-isolated) pairs are exhausted is retired: its edges and
 //!    inferred sets are never recomputed again. Safe because resolutions

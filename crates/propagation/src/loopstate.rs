@@ -29,9 +29,10 @@
 //!   all within the source's connected component (probabilistic edges are
 //!   a subset of ER adjacency, which never crosses components). A
 //!   component is dirty when any member's edge list changed; all eligible
-//!   sources in a dirty component re-run truncated Dijkstra, over a
-//!   compact view of the dirty components built once per refresh
-//!   (`ComponentView` in `distant.rs`).
+//!   sources in a dirty component get their rows again, from truncated
+//!   Dijkstra over a compact view of the dirty components built once per
+//!   refresh (`ComponentView` in `distant.rs`): one search per source, or
+//!   one per cluster of pairs joined by near-zero edges.
 //!
 //! ## Retirement
 //!
@@ -98,11 +99,18 @@ pub struct RefreshStats {
     pub dirty_components: usize,
     /// Components currently retired (no eligible pair left).
     pub retired_components: usize,
-    /// Dijkstra sources re-run (eligible members of dirty components).
+    /// Inferred sets recomputed: the eligible members of dirty
+    /// components.
     pub recomputed_sources: usize,
-    /// Vertices settled by this refresh's Dijkstra runs: the summed
-    /// length of the recomputed inferred sets.
+    /// Entries written by this refresh: the summed length of the
+    /// recomputed inferred sets.
     pub settled_vertices: usize,
+    /// Condensed searches run, one per cluster of near-zero edges that
+    /// holds an eligible source (each gives the row of all of them).
+    pub cluster_searches: usize,
+    /// Sources that ran their own Dijkstra because their cluster's
+    /// search met a cluster the rounding guard could not decide.
+    pub fallback_sources: usize,
     /// Wall-clock of the consistency stage.
     pub consistency_s: f64,
     /// Wall-clock of the probabilistic-graph stage.
@@ -138,16 +146,28 @@ fn record_refresh_metrics(stats: &RefreshStats, inferred: &InferredSets) {
     .add(stats.dirty_vertices as u64);
     reg.counter(
         remp_obs::names::LOOP_RECOMPUTED_SOURCES_TOTAL,
-        "Dijkstra sources re-run across refreshes.",
+        "Inferred sets recomputed across refreshes.",
         &[],
     )
     .add(stats.recomputed_sources as u64);
     reg.counter(
         remp_obs::names::LOOP_SETTLED_VERTICES_TOTAL,
-        "Vertices settled by Dijkstra across refreshes.",
+        "Inferred-set entries written across refreshes.",
         &[],
     )
     .add(stats.settled_vertices as u64);
+    reg.counter(
+        remp_obs::names::LOOP_CLUSTER_SEARCHES_TOTAL,
+        "Condensed searches over clusters of near-zero edges across refreshes.",
+        &[],
+    )
+    .add(stats.cluster_searches as u64);
+    reg.counter(
+        remp_obs::names::LOOP_FALLBACK_SOURCES_TOTAL,
+        "Sources of undecided clusters that ran their own search across refreshes.",
+        &[],
+    )
+    .add(stats.fallback_sources as u64);
     reg.gauge(
         remp_obs::names::PAR_HELPER_THREADS,
         "Persistent helper threads the remp-par pool has spawned.",
@@ -604,39 +624,38 @@ impl LoopState {
         // all lie in `selection_dirty`. One sequential pass then flattens
         // the dirty components into a position-indexed CSR with each edge
         // length computed once (one buffer for the whole refresh, none
-        // per component); every eligible member runs truncated Dijkstra
-        // over that view, with scratch sized by the largest dirty
-        // component, and keeps its row as pair ids. The textbook kernel
-        // over the global graph stays the reference (`rebuild_reference`),
-        // so `check_reference` compares two independent kernels.
-        let ((recomputed_sources, settled_vertices), inferred_s) =
-            time_stage("inferred_sets", || {
-                for &c in &selection_dirty {
-                    for &v in ctx.components.members(c) {
-                        if !self.eligible[v.index()] {
-                            self.inferred.set_row(v, Vec::new());
-                        }
+        // per component). The same pass joins the pairs linked both ways
+        // by near-zero edges into clusters and condenses them. A
+        // component with clusters runs one truncated Dijkstra per cluster
+        // holding an eligible source over its condensed graph, and every
+        // such source of the cluster gets the row; an exact rounding guard
+        // sends a cluster whose search meets an undecided cluster back to
+        // per-source Dijkstra over the view, which every component
+        // without clusters runs. Scratch is per worker, sized by the
+        // largest dirty component, and rows are pair ids. The textbook
+        // kernel over the global graph stays the reference
+        // (`rebuild_reference`), so `check_reference` compares two
+        // independent kernels.
+        let (rows, inferred_s) = time_stage("inferred_sets", || {
+            for &c in &selection_dirty {
+                for &v in ctx.components.members(c) {
+                    if !self.eligible[v.index()] {
+                        self.inferred.set_row(v, Vec::new());
                     }
                 }
-                let view = ComponentView::build(
-                    &self.pg,
-                    self.tau,
-                    dirty_components.iter().map(|&c| ctx.components.members(c)),
-                    |v| ctx.components.position_of(v),
-                );
-                let sources = view.sources(|q| self.eligible[q.index()]);
-                let rows: Vec<Vec<PairId>> = par.par_map_with(
-                    &sources,
-                    || view.scratch(),
-                    |scratch, &s| view.row(s, scratch),
-                );
-                let mut settled = 0;
-                for (&s, row) in sources.iter().zip(rows) {
-                    settled += row.len();
-                    self.inferred.set_row(view.pair(s), row);
-                }
-                (sources.len(), settled)
-            });
+            }
+            let view = ComponentView::build(
+                &self.pg,
+                self.tau,
+                dirty_components.iter().map(|&c| ctx.components.members(c)),
+                |v| ctx.components.position_of(v),
+            );
+            view.inferred_rows(
+                par,
+                |q| self.eligible[q.index()],
+                |q, row| self.inferred.set_row(q, row),
+            )
+        });
 
         self.caches_valid = true;
 
@@ -649,8 +668,10 @@ impl LoopState {
             changed_vertices,
             dirty_components: dirty_components.len(),
             retired_components: self.retired_count,
-            recomputed_sources,
-            settled_vertices,
+            recomputed_sources: rows.sources,
+            settled_vertices: rows.entries,
+            cluster_searches: rows.cluster_searches,
+            fallback_sources: rows.fallback_sources,
             consistency_s,
             propagation_s,
             inferred_s,
@@ -719,6 +740,8 @@ impl LoopState {
             retired_components: self.retired_count,
             recomputed_sources: n,
             settled_vertices,
+            cluster_searches: 0,
+            fallback_sources: 0,
             consistency_s,
             propagation_s,
             inferred_s,

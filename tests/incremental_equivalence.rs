@@ -105,6 +105,28 @@ fn incremental_state_matches_reference_every_loop() {
 }
 
 #[test]
+fn iy_preset_takes_the_cluster_path() {
+    // I-Y's giant component is almost all near-zero edges, so stage 2c
+    // condenses it and runs one search per cluster instead of one per
+    // source; the pins above hold its rows to the textbook kernel's, and
+    // under REMP_CHECK_INCREMENTAL=1 so does every loop.
+    let dataset = generate(&preset_by_name("I-Y", 0.15).expect("known preset"));
+    let observed = common::observe_campaign(
+        &dataset,
+        Parallelism::Fixed(2),
+        &mut OracleCrowd::new(),
+        on_engine(true),
+    );
+    let total = |count: fn(&remp::core::RefreshStats) -> usize| -> usize {
+        observed.loop_stats.iter().map(|s| count(&s.refresh)).sum()
+    };
+    let searches = total(|r| r.cluster_searches);
+    let sources = total(|r| r.recomputed_sources);
+    assert!(searches > 0, "I-Y never took the cluster path");
+    assert!(searches < sources, "{searches} cluster searches for {sources} sources");
+}
+
+#[test]
 fn checkpoints_cross_between_modes() {
     // A checkpoint written by an incremental session resumes into a
     // from-scratch session (and vice versa) with identical results —
