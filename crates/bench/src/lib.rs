@@ -1,9 +1,12 @@
-//! Shared machinery for the table/figure harness binaries.
+//! The paper harness: one function per table or figure of §VIII.
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! DESIGN.md §5 and EXPERIMENTS.md). Datasets are the synthetic presets of
-//! `remp-datasets` at laptop-friendly default scales; pass `--scale X`
-//! (or set `REMP_SCALE`) to multiply them.
+//! [`ARTEFACTS`] lists them by name in paper order; `rempctl repro NAME...`
+//! runs them (see DESIGN.md §5 and EXPERIMENTS.md). Each writes its
+//! table to a [`Write`] and generates the synthetic presets of
+//! `remp-datasets` at laptop-friendly default scales, multiplied by the
+//! caller's scale.
+
+use std::io::{self, Write};
 
 use remp_baselines::{corleone, hike, power, CorleoneConfig, HikeConfig, PowerConfig};
 use remp_core::{
@@ -11,25 +14,39 @@ use remp_core::{
 };
 use remp_crowd::{LabelSource, OracleCrowd};
 use remp_datasets::{generate, preset_by_name, GeneratedDataset};
-use remp_ergraph::PairId;
+use remp_ergraph::{
+    build_sim_vectors, generate_candidates, initial_matches, match_attributes, AttrAlignment,
+    Candidates, PairId,
+};
 use remp_selection::BatchStrategy;
+use remp_simil::SimVec;
+
+pub mod figures;
+pub mod tables;
+pub mod timing;
+
+/// One paper artefact: writes its table or figure to `out`, with every
+/// dataset at its default harness scale times `scale`.
+pub type Artefact = fn(out: &mut dyn Write, scale: f64) -> io::Result<()>;
+
+/// Every artefact by name, in paper order.
+pub const ARTEFACTS: &[(&str, Artefact)] = &[
+    ("table3", tables::table3),
+    ("table4", tables::table4),
+    ("table5", tables::table5),
+    ("table6", tables::table6),
+    ("table7", tables::table7),
+    ("table8", tables::table8),
+    ("fig3", figures::fig3),
+    ("fig4", figures::fig4),
+    ("fig5", figures::fig5),
+    ("fig6", timing::fig6),
+    ("efficiency", timing::efficiency),
+];
 
 /// The four datasets in paper order with default harness scales chosen so
 /// the full suite runs in minutes.
 pub const DATASETS: [(&str, f64); 4] = [("IIMB", 1.0), ("D-A", 0.5), ("I-Y", 0.35), ("D-Y", 0.3)];
-
-/// Parses `--scale X` from argv (or `REMP_SCALE`), defaulting to 1.0.
-pub fn scale_multiplier() -> f64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--scale" {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    std::env::var("REMP_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(1.0)
-}
 
 /// Generates a preset dataset at `base_scale × multiplier`.
 pub fn load_dataset(name: &str, base_scale: f64, multiplier: f64) -> GeneratedDataset {
@@ -54,16 +71,6 @@ pub enum Method {
 impl Method {
     /// All methods in the paper's column order.
     pub const ALL: [Method; 4] = [Method::Remp, Method::Hike, Method::Power, Method::Corleone];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Method::Remp => "Remp",
-            Method::Hike => "HIKE",
-            Method::Power => "POWER",
-            Method::Corleone => "Corleone",
-        }
-    }
 }
 
 /// Runs one crowdsourced method on a prepared dataset, returning
@@ -76,41 +83,55 @@ pub fn run_method(
     crowd: &mut dyn LabelSource,
 ) -> (PrecisionRecall, usize) {
     let truth = |u1, u2| dataset.is_match(u1, u2);
-    match method {
+    let (cands, vectors) = (&prep.candidates, &prep.sim_vectors);
+    let (matches, questions) = match method {
         Method::Remp => {
             let remp = Remp::new(RempConfig::default());
             let out = remp.run_prepared(&dataset.kb1, &dataset.kb2, prep.clone(), &truth, crowd);
-            (evaluate_matches(out.matches.iter().copied(), &dataset.gold), out.questions_asked)
+            (out.matches, out.questions_asked)
         }
         Method::Hike => {
-            let out = hike(
-                &dataset.kb1,
-                &dataset.kb2,
-                &prep.candidates,
-                &prep.sim_vectors,
-                &prep.alignment,
-                &truth,
-                crowd,
-                &HikeConfig::default(),
-            );
-            (evaluate_matches(out.matches.iter().copied(), &dataset.gold), out.questions)
+            let config = HikeConfig::default();
+            let (kb1, kb2, alignment) = (&dataset.kb1, &dataset.kb2, &prep.alignment);
+            let out = hike(kb1, kb2, cands, vectors, alignment, &truth, crowd, &config);
+            (out.matches, out.questions)
         }
         Method::Power => {
-            let out =
-                power(&prep.candidates, &prep.sim_vectors, &truth, crowd, &PowerConfig::default());
-            (evaluate_matches(out.matches.iter().copied(), &dataset.gold), out.questions)
+            let out = power(cands, vectors, &truth, crowd, &PowerConfig::default());
+            (out.matches, out.questions)
         }
         Method::Corleone => {
-            let out = corleone(
-                &prep.candidates,
-                &prep.sim_vectors,
-                &truth,
-                crowd,
-                &CorleoneConfig::default(),
-            );
-            (evaluate_matches(out.matches.iter().copied(), &dataset.gold), out.questions)
+            let out = corleone(cands, vectors, &truth, crowd, &CorleoneConfig::default());
+            (out.matches, out.questions)
         }
+    };
+    (evaluate_matches(matches, &dataset.gold), questions)
+}
+
+/// The Table III / Fig. 3 header: `first`, then an F1 and a #Q column
+/// per method.
+fn method_header(out: &mut dyn Write, first: &str) -> io::Result<()> {
+    writeln!(
+        out,
+        "{:>6} | {:>8} {:>6} | {:>8} {:>6} | {:>8} {:>6} | {:>8} {:>6}",
+        first, "Remp", "#Q", "HIKE", "#Q", "POWER", "#Q", "Corleone", "#Q"
+    )
+}
+
+/// The rest of a Table III / Fig. 3 row: every method's F1 and #Q, each
+/// answered by a fresh `crowd()` so the same worker pool answers every
+/// method (the paper reuses labels across approaches).
+fn method_row<C: LabelSource>(
+    out: &mut dyn Write,
+    dataset: &GeneratedDataset,
+    prep: &PreparedEr,
+    crowd: impl Fn() -> C,
+) -> io::Result<()> {
+    for method in Method::ALL {
+        let (eval, questions) = run_method(method, dataset, prep, &mut crowd());
+        write!(out, " {:>8} {questions:>6} |", pct(eval.f1))?;
     }
+    writeln!(out)
 }
 
 /// All selection policies in Fig. 5 order (the core [`BatchStrategy`]
@@ -182,6 +203,32 @@ pub fn prepare_default(dataset: &GeneratedDataset) -> PreparedEr {
     prepare(&dataset.kb1, &dataset.kb2, &RempConfig::default())
 }
 
+/// Stage 1 before pruning: every candidate pair with the initial
+/// matches, the attribute alignment and one similarity vector per pair.
+/// The artefacts that vary, time or inspect pruning start here.
+pub(crate) struct Unpruned {
+    /// The candidate matches `M_c`.
+    pub candidates: Candidates,
+    /// Initial exact-label matches `M_in`.
+    pub initial: Vec<PairId>,
+    /// The attribute alignment `M_at` under `config.attr`.
+    pub alignment: AttrAlignment,
+    /// One similarity vector per candidate.
+    pub vectors: Vec<SimVec>,
+}
+
+/// Runs stage 1 up to the similarity vectors: candidates → initial
+/// matches → attribute matching → similarity vectors.
+pub(crate) fn unpruned(dataset: &GeneratedDataset, config: &RempConfig) -> Unpruned {
+    let (kb1, kb2, par) = (&dataset.kb1, &dataset.kb2, &config.parallelism);
+    let candidates = generate_candidates(kb1, kb2, config.label_sim_threshold, par);
+    let initial = initial_matches(kb1, kb2, &candidates);
+    let alignment = match_attributes(kb1, kb2, &candidates, &initial, &config.attr);
+    let vectors =
+        build_sim_vectors(kb1, kb2, &candidates, &alignment, config.literal_threshold, par);
+    Unpruned { candidates, initial, alignment, vectors }
+}
+
 /// Formats a ratio as the paper's percent style.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
@@ -190,11 +237,6 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scale_default_is_one() {
-        assert_eq!(scale_multiplier(), 1.0);
-    }
 
     #[test]
     fn load_all_presets_small() {
@@ -222,7 +264,7 @@ mod tests {
         for m in Method::ALL {
             let mut crowd = remp_crowd::OracleCrowd::new();
             let (eval, _q) = run_method(m, &d, &prep, &mut crowd);
-            assert!(eval.f1 >= 0.0, "{}", m.name());
+            assert!(eval.f1 >= 0.0, "{m:?}");
         }
     }
 }

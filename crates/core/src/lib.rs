@@ -22,7 +22,8 @@
 //! The loop stops when no beneficial question remains (or the budget is
 //! hit); isolated pairs are then resolved by a random-forest classifier
 //! (§VII-B). [`metrics`] carries the evaluation machinery shared by the
-//! test suite and the table/figure harnesses of `remp-bench`.
+//! test suite and the paper harness (`remp-bench`, run by
+//! `rempctl repro`).
 
 pub mod config;
 pub mod error;
@@ -36,7 +37,7 @@ pub mod session;
 
 pub use config::RempConfig;
 pub use error::RempError;
-pub use experiment::{propagation_only_f1, run_on_dataset, ExperimentResult};
+pub use experiment::{run_on_dataset, ExperimentResult};
 pub use isolated::classify_isolated;
 pub use metrics::{evaluate_matches, pair_completeness, reduction_ratio, PrecisionRecall};
 pub use pipeline::{MatchSource, Remp, RempOutcome, Resolution};

@@ -2,6 +2,7 @@
 //! pair completeness (PC) and reduction ratio (RR).
 
 use std::collections::HashSet;
+use std::hash::Hash;
 
 use remp_kb::EntityId;
 
@@ -39,13 +40,14 @@ impl PrecisionRecall {
     }
 }
 
-/// Evaluates predicted entity matches against the gold standard.
-/// Duplicate predictions are counted once.
-pub fn evaluate_matches(
-    predicted: impl IntoIterator<Item = (EntityId, EntityId)>,
-    gold: &HashSet<(EntityId, EntityId)>,
+/// Evaluates predicted matches (entity pairs, or any other match such as
+/// attribute-name pairs) against the gold standard. Duplicate
+/// predictions are counted once.
+pub fn evaluate_matches<M: Eq + Hash>(
+    predicted: impl IntoIterator<Item = M>,
+    gold: &HashSet<M>,
 ) -> PrecisionRecall {
-    let predicted: HashSet<(EntityId, EntityId)> = predicted.into_iter().collect();
+    let predicted: HashSet<M> = predicted.into_iter().collect();
     let correct = predicted.iter().filter(|p| gold.contains(p)).count();
     let precision =
         if predicted.is_empty() { 0.0 } else { correct as f64 / predicted.len() as f64 };

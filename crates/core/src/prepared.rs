@@ -57,11 +57,8 @@ pub fn prepare(kb1: &Kb, kb2: &Kb, config: &RempConfig) -> PreparedEr {
     let (retained, _) =
         time_stage("prune", || prune(&pre_candidates, &vectors_full, config.knn_k, par));
     let ((candidates, sim_vectors, initial, graph, components), _) = time_stage("graph", || {
-        let (candidates, mapping) = pre_candidates.restrict(&retained);
-        let mut sim_vectors = vec![SimVec::new(Vec::new()); candidates.len()];
-        for &old in &retained {
-            sim_vectors[mapping[&old].index()] = vectors_full[old.index()].clone();
-        }
+        let (candidates, sim_vectors, mapping) =
+            pre_candidates.restrict_with_vectors(&retained, &vectors_full);
         let initial: Vec<PairId> =
             initial_full.iter().filter_map(|old| mapping.get(old).copied()).collect();
         let graph = ErGraph::build(kb1, kb2, &candidates);

@@ -8,7 +8,7 @@
 
 use remp_kb::{EntityId, IdHashMap, Kb, PackedPair};
 use remp_par::Parallelism;
-use remp_simil::{jaccard_ids, normalize_tokens, TokenSet};
+use remp_simil::{jaccard_ids, normalize_tokens, SimVec, TokenSet};
 
 use crate::PairId;
 
@@ -200,6 +200,21 @@ impl Candidates {
             mapping.insert(old, new);
         }
         (Self::finish(pairs, priors, index), mapping)
+    }
+
+    /// [`restrict`](Self::restrict), carrying each kept pair's similarity
+    /// vector (`vectors` is indexed by this set's ids) to its new id.
+    pub fn restrict_with_vectors(
+        &self,
+        keep: &[PairId],
+        vectors: &[SimVec],
+    ) -> (Candidates, Vec<SimVec>, IdHashMap<PairId, PairId>) {
+        let (restricted, mapping) = self.restrict(keep);
+        let mut kept = vec![SimVec::new(Vec::new()); restricted.len()];
+        for &old in keep {
+            kept[mapping[&old].index()] = vectors[old.index()].clone();
+        }
+        (restricted, kept, mapping)
     }
 }
 

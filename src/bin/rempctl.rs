@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use remp_bench::ARTEFACTS;
 use remp_core::{evaluate_matches, run_on_dataset, Parallelism, RempConfig};
 use remp_crowd::{LabelSource, OracleCrowd, SimulatedCrowd};
 use remp_datasets::{generate, preset_by_name};
@@ -150,6 +151,12 @@ USAGE:
         exposition, and with --require exit non-zero unless every
         listed metric family is present — the CI well-formedness gate.
 
+    rempctl repro ARTEFACT... [--scale X]
+        Reproduce the paper's tables and figures (§VIII) on the synthetic
+        presets and print them: table3 table4 table5 table6 table7 table8
+        fig3 fig4 fig5 fig6 efficiency, or all of them with `all`. --scale
+        multiplies every dataset's default harness scale [1.0].
+
     rempctl bench [--points N,N,...] [--budget N] [--seed N]
                   [--max-rss-mb MB] [--out PATH] [--work-dir DIR]
                   [--keep-artifacts]
@@ -256,6 +263,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     ("top", cmd_top, "url interval iterations"),
     ("metrics", cmd_metrics, "url require"),
     ("bench", cmd_bench, "points budget seed max-rss-mb out work-dir keep-artifacts"),
+    ("repro", cmd_repro, "scale"),
 ];
 
 fn dispatch(args: &[String]) -> Result<(), CliError> {
@@ -329,6 +337,16 @@ impl Opts {
             }
         }
     }
+
+    /// `--scale X` [1.0]: a dataset size multiplier, finite and above 0.
+    fn scale(&self) -> Result<f64, CliError> {
+        let scale: f64 = self.parsed("scale", 1.0)?;
+        if scale.is_finite() && scale > 0.0 {
+            Ok(scale)
+        } else {
+            Err(CliError::Usage(format!("--scale must be a finite number above 0, not {scale}")))
+        }
+    }
 }
 
 // ---- commands ---------------------------------------------------------
@@ -336,7 +354,7 @@ impl Opts {
 fn cmd_export(opts: &Opts) -> Result<(), CliError> {
     let preset = opts.required("preset")?;
     let out = PathBuf::from(opts.required("out")?);
-    let scale: f64 = opts.parsed("scale", 1.0)?;
+    let scale = opts.scale()?;
     let format = match opts.get("format").unwrap_or("nt") {
         "nt" | "ntriples" => ExportFormat::NTriples,
         "csv" => ExportFormat::Csv,
@@ -1430,6 +1448,31 @@ fn cmd_bench(opts: &Opts) -> Result<(), CliError> {
             )));
         }
         out!("  bounded-RSS gate passed (every point <= {mb} MiB)");
+    }
+    Ok(())
+}
+
+// ---- repro: the paper's tables and figures ---------------------------
+
+fn cmd_repro(opts: &Opts) -> Result<(), CliError> {
+    let scale = opts.scale()?;
+    let mut chosen = Vec::new();
+    for name in &opts.positional {
+        match ARTEFACTS.iter().find(|(artefact, _)| artefact == name) {
+            Some(artefact) => chosen.push(artefact),
+            None if name == "all" => chosen.extend(ARTEFACTS),
+            None => return Err(CliError::Usage(format!("unknown artefact {name:?}"))),
+        }
+    }
+    if chosen.is_empty() {
+        return Err(CliError::Usage("repro needs an artefact name or `all`".into()));
+    }
+    let mut stdout = std::io::stdout().lock();
+    for (i, (_, artefact)) in chosen.into_iter().enumerate() {
+        if i > 0 {
+            writeln!(stdout).map_err(CliError::stdout)?;
+        }
+        artefact(&mut stdout, scale).map_err(CliError::stdout)?;
     }
     Ok(())
 }

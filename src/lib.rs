@@ -98,11 +98,14 @@
 //! | [`sim`] | discrete-tick campaign simulator, adversarial crowds | §VIII |
 //! | [`scale`] | million-entity generator, blocked candidates, shards | §VIII-E |
 //! | [`baselines`] | PARIS, SiGMa, HIKE, POWER, Corleone | §II, §VIII |
+//! | [`bench`](mod@bench) | the paper harness: one function per table/figure | §VIII |
 //!
 //! The `rempctl` CLI (this package's binary) chains the layers:
-//! `export` → `import` → `inspect` → `run` | `serve` | `drive` | `bench`.
+//! `export` → `import` → `inspect` → `run` | `drive` | `bench`, and
+//! `repro` reruns the paper's tables and figures.
 
 pub use remp_baselines as baselines;
+pub use remp_bench as bench;
 pub use remp_core as core;
 pub use remp_crowd as crowd;
 pub use remp_datasets as datasets;

@@ -115,22 +115,45 @@ fn mislabeled_snapshot_extension_is_rejected_cleanly() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Runs `rempctl` with `args` and asserts a usage error (exit 2) whose
+/// message names `culprit`, with nothing run.
+fn assert_usage_error(args: &[&str], culprit: &str) {
+    let run =
+        std::process::Command::new(env!("CARGO_BIN_EXE_rempctl")).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{args:?}: want a usage error, got:\n{stderr}");
+    assert!(stderr.contains(culprit), "{args:?}: the error must name {culprit}:\n{stderr}");
+    assert!(run.stdout.is_empty(), "{args:?}: a refused command ran");
+}
+
 /// `rempctl` refuses an option its verb does not take: a typo such as
 /// `--budgt 30` is a usage error (exit 2), not a campaign run with no
-/// budget.
+/// budget. The same holds for `repro --scael 0.2`, and for a value that
+/// does not parse, which would otherwise run at the default scale.
 #[test]
 fn run_refuses_an_unknown_option() {
     let dir = fixtures();
     let path = |name: &str| dir.join(name).display().to_string();
-    let run = std::process::Command::new(env!("CARGO_BIN_EXE_rempctl"))
-        .args(["run", "--kb1", &path("kb1.nt"), "--kb2", &path("kb2.nt")])
-        .args(["--gold", &path("gold.tsv"), "--oracle", "--budgt", "30"])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(2), "want a usage error, got:\n{stderr}");
-    assert!(stderr.contains("--budgt"), "the error must name the option:\n{stderr}");
-    assert!(run.stdout.is_empty(), "a refused run started a campaign");
+    let (kb1, kb2, gold) = (path("kb1.nt"), path("kb2.nt"), path("gold.tsv"));
+    let run = ["run", "--kb1", &kb1, "--kb2", &kb2, "--gold", &gold, "--oracle", "--budgt", "30"];
+    assert_usage_error(&run, "--budgt");
+    assert_usage_error(&["repro", "table3", "--scael", "0.2"], "--scael");
+    assert_usage_error(&["repro", "table3", "--scale", "abc"], "\"abc\"");
+    assert_usage_error(&["repro", "table9"], "table9");
+}
+
+/// `--scale` multiplies dataset sizes, so it must be finite and above 0:
+/// `export` and `repro` refuse anything else instead of quietly
+/// generating a floor-sized world.
+#[test]
+fn scale_must_be_finite_and_above_zero() {
+    let out = scratch("bad-scale");
+    let out = out.display().to_string();
+    assert_usage_error(&["export", "--preset", "TINY", "--out", &out, "--scale", "NaN"], "NaN");
+    assert_usage_error(&["repro", "table3", "--scale", "0"], "--scale");
+    assert_usage_error(&["repro", "fig5", "--scale", "-1"], "-1");
+    assert_usage_error(&["repro", "fig5", "--scale", "inf"], "inf");
+    fs::remove_dir_all(&out).unwrap();
 }
 
 /// A reader that goes away (`rempctl ... | head -3`) ends `rempctl`
@@ -139,14 +162,20 @@ fn run_refuses_an_unknown_option() {
 /// already fails.
 #[test]
 fn closed_stdout_ends_rempctl_quietly() {
-    let (reader, writer) = std::io::pipe().unwrap();
-    drop(reader);
-    let run = std::process::Command::new(env!("CARGO_BIN_EXE_rempctl"))
-        .args(["simulate", "--list"])
-        .stdout(writer)
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(0), "a closed stdout must end quietly, got:\n{stderr}");
-    assert!(stderr.is_empty(), "a closed stdout must leave stderr empty:\n{stderr}");
+    for args in [&["simulate", "--list"][..], &["repro", "table3", "--scale", "0.05"]] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_rempctl"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(
+            run.status.code(),
+            Some(0),
+            "{args:?}: a closed stdout must end quietly:\n{stderr}"
+        );
+        assert!(stderr.is_empty(), "{args:?}: a closed stdout must leave stderr empty:\n{stderr}");
+    }
 }
